@@ -26,22 +26,22 @@ import os
 import random
 import sys
 import time
+from dataclasses import dataclass
 from itertools import combinations
 
 from .complexes import (ComplexError, PolytopalComplex, antistar,
-                        graph_vertex_connectivity, technical_lemma_check,
-                        vertex_star)
+                        technical_lemma_check, vertex_star)
 from .cube import associated_counts_bulk
 from .generators import (InstanceSpec, build_complex, default_star_center,
                          star_instance)
-from .graphs import Graph, bits
+from .graphs import Graph, bits, vertex_connectivity
 from .linker import (ConfigDFRefusal, ProofStepError, StarProblem,
                      detect_config_dF, link_in_polytope, link_in_star,
                      strong_link_even)
-from . import linker as _linker
 from .oracle import (DEFAULT_BUDGET, Linkage, LinkageProblem,
-                     SearchBudgetExceeded, pairings, solve_linkage,
-                     verify_k_linked, verify_strongly_linked)
+                     CampaignRun, SearchBudgetExceeded, campaign, k23_witness,
+                     pairings, solve_linkage, verify_k_linked,
+                     verify_strongly_linked)
 
 CHECKS = ("k_linked", "strongly_linked", "lemma6", "separators",
           "star_lemma", "technical_lemma", "k23", "link_construct")
@@ -56,6 +56,10 @@ class UsageError(Exception):
 
 def _progress(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
+
+
+def _progress_instances(n: int) -> None:
+    _progress(f"progress: {n} instances")
 
 
 def _spec_from_args(args) -> InstanceSpec:
@@ -108,6 +112,19 @@ def _exit_for(status: str) -> int:
     return 0 if status in ("verified", "sampled_pass", "linked") else 1
 
 
+def _run_campaign_check(args, insts, check) -> tuple[dict, CampaignRun]:
+    """Run one campaign check over `insts`; the verdict dict without its
+    detail, and the campaign's counts."""
+    t0 = time.perf_counter()
+    run = campaign(insts, check, args.jobs, _progress_instances)
+    exhaustive = args.mode == "exhaustive"
+    status = ("counterexample" if run.witness is not None else
+              "verified" if exhaustive else "sampled_pass")
+    return {"status": status, "checked": run.checked, "witness": run.witness,
+            "elapsed_ms": int((time.perf_counter() - t0) * 1000),
+            "seed": None if exhaustive else args.seed}, run
+
+
 def _default_k(d: int) -> int:
     return (d + 1) // 2
 
@@ -128,8 +145,7 @@ def _check_linked(args, spec: InstanceSpec, strong: bool) -> dict:
     fn = verify_strongly_linked if strong else verify_k_linked
     verdict = fn(g, args.k, mode=args.mode, symmetry=symmetry,
                  samples=args.samples, seed=args.seed, budget=args.budget,
-                 jobs=args.jobs,
-                 progress=lambda n: _progress(f"progress: {n} instances"))
+                 jobs=args.jobs, progress=_progress_instances)
     return verdict.to_json_dict(witness_graph_repr=_spec_dict(spec))
 
 
@@ -175,7 +191,7 @@ def _check_lemma6(args, spec: InstanceSpec) -> dict:
             "elapsed_ms": ms, "seed": seed}
 
 
-# -- verify: separators and K_{2,3} ----------------------------------------------
+# -- verify: separators -----------------------------------------------------------
 
 
 def _check_separators(args, spec: InstanceSpec) -> dict:
@@ -198,27 +214,6 @@ def _check_separators(args, spec: InstanceSpec) -> dict:
             "checked": math.comb(n, size), "witness": witness,
             "elapsed_ms": ms, "seed": None,
             "detail": {"separators": len(seps), "size": size}}
-
-
-def _check_k23(args, spec: InstanceSpec) -> dict:
-    c = build_complex(spec)
-    g = c.graph()
-    t0 = time.perf_counter()
-    ids = sorted(g.vertices())
-    witness = None
-    for i, u in enumerate(ids):
-        for v in ids[i + 1:]:
-            common = g.adj[u] & g.adj[v] & g.active
-            if common.bit_count() >= 3:
-                witness = {"pair": [u, v],
-                           "common_neighbours": sorted(bits(common))[:3]}
-                break
-        if witness:
-            break
-    ms = int((time.perf_counter() - t0) * 1000)
-    return {"status": "counterexample" if witness else "verified",
-            "checked": math.comb(len(ids), 2), "witness": witness,
-            "elapsed_ms": ms, "seed": None}
 
 
 # -- verify: star routing equivalence --------------------------------------------
@@ -264,16 +259,22 @@ def _star_sampled(ids, centre, k, n, seed):
         yield tuple(sorted(xs)), pr
 
 
-def _run_star_batch(star, centre, instances, budget):
-    sg = star.graph()
-    checked = 0
-    linked = refused = 0
-    witness = None
-    for xs, pr in instances:
-        checked += 1
-        ours = link_in_star(StarProblem(star, centre, _centre_first(pr, centre)))
-        oracle = solve_linkage(LinkageProblem(sg, pr), budget)
-        det = detect_config_dF(star, xs, pr, centre)
+@dataclass(frozen=True)
+class _StarCheck:
+    """Campaign check on a star instance (xs, pairs): the router links iff
+    the oracle does and the configuration detector finds no block, and a
+    routed linkage is valid.  Tallies "linked" and "refused"."""
+    star: PolytopalComplex
+    centre: int
+    budget: int
+
+    def __call__(self, inst, tally: dict):
+        xs, pr = inst
+        sg = self.star.graph()
+        ours = link_in_star(StarProblem(self.star, self.centre,
+                                        _centre_first(pr, self.centre)))
+        oracle = solve_linkage(LinkageProblem(sg, pr), self.budget)
+        det = detect_config_dF(self.star, xs, pr, self.centre)
         got_linkage = isinstance(ours, Linkage)
         fine = ((oracle is not None) == got_linkage
                 and (det is None) == got_linkage)
@@ -283,18 +284,13 @@ def _run_star_batch(star, centre, instances, budget):
             except ValueError:
                 fine = False
         if not fine:
-            witness = {"pairs": [list(p) for p in pr],
-                       "oracle_linked": oracle is not None,
-                       "detect_blocked": det is not None,
-                       "construct": "linked" if got_linkage else "refused"}
-            break
-        if got_linkage:
-            linked += 1
-        else:
-            refused += 1
-        if checked % 20000 == 0:
-            _progress(f"progress: {checked} instances")
-    return checked, linked, refused, witness
+            return {"pairs": [list(p) for p in pr],
+                    "oracle_linked": oracle is not None,
+                    "detect_blocked": det is not None,
+                    "construct": "linked" if got_linkage else "refused"}
+        key = "linked" if got_linkage else "refused"
+        tally[key] = tally.get(key, 0) + 1
+        return None
 
 
 def _check_star_lemma(args, spec: InstanceSpec) -> dict:
@@ -305,27 +301,14 @@ def _check_star_lemma(args, spec: InstanceSpec) -> dict:
         raise UsageError("the star routing check needs odd dimension")
     k = _default_k(d)
     ids = sorted(star.vertex_ids)
-    if args.mode == "exhaustive":
-        insts = _star_exhaustive(ids, centre, k)
-        seed = None
-    else:
-        insts = _star_sampled(ids, centre, k, args.samples, args.seed)
-        seed = args.seed
-    counters: dict = {}
-    _linker.BRANCH_COUNTER = counters
-    t0 = time.perf_counter()
-    try:
-        checked, linked, refused, witness = _run_star_batch(
-            star, centre, insts, args.budget)
-    finally:
-        _linker.BRANCH_COUNTER = None
-    ms = int((time.perf_counter() - t0) * 1000)
-    status = ("counterexample" if witness else
-              "verified" if args.mode == "exhaustive" else "sampled_pass")
-    return {"status": status, "checked": checked, "witness": witness,
-            "elapsed_ms": ms, "seed": seed,
-            "detail": {"linked": linked, "refused": refused,
-                       "branches": dict(sorted(counters.items()))}}
+    insts = (_star_exhaustive(ids, centre, k) if args.mode == "exhaustive"
+             else _star_sampled(ids, centre, k, args.samples, args.seed))
+    verdict, run = _run_campaign_check(
+        args, insts, _StarCheck(star, centre, args.budget))
+    verdict["detail"] = {"linked": run.tally.get("linked", 0),
+                         "refused": run.tally.get("refused", 0),
+                         "branches": dict(sorted(run.branches.items()))}
+    return verdict
 
 
 # -- verify: star structure lemmas ------------------------------------------------
@@ -343,7 +326,7 @@ def _check_technical(args, spec: InstanceSpec) -> dict:
         checked += 1
         asg = antistar(c, f).graph()
         n = len(list(asg.vertices()))
-        kappa = graph_vertex_connectivity(asg) if n > 1 else 0
+        kappa = vertex_connectivity(asg) if n > 1 else 0
         if n == 0 or kappa < d - 2:
             witness = {"kind": "antistar", "facet": list(c.face_vertices(f)),
                        "connectivity": kappa, "required": d - 2}
@@ -393,26 +376,25 @@ def _check_technical(args, spec: InstanceSpec) -> dict:
 # -- verify: constructive routing campaigns ---------------------------------------
 
 
-def _run_construct_batch(c, instances, even):
-    g = c.graph()
-    checked = 0
-    witness = None
-    for subset, forb, pr in instances:
-        checked += 1
+@dataclass(frozen=True)
+class _ConstructCheck:
+    """Campaign check: the constructive router links an oracle instance
+    (subset, forbidden, pairs) without a proof-step or validation error."""
+    complex: PolytopalComplex
+    even: bool
+
+    def __call__(self, inst, tally: dict):
+        subset, forb, pr = inst
         try:
-            if even:
-                avoid = forb[0]
-                strong_link_even(c, list(subset), pr, avoid)
+            if self.even:
+                strong_link_even(self.complex, list(subset), pr, forb[0])
             else:
-                link_in_polytope(c, list(subset), pr)
+                link_in_polytope(self.complex, list(subset), pr)
         except (ProofStepError, ValueError) as e:
-            witness = {"pairs": [list(p) for p in pr],
-                       "forbidden": list(forb),
-                       "error": str(e)}
-            break
-        if checked % 20000 == 0:
-            _progress(f"progress: {checked} instances")
-    return checked, witness
+            return {"pairs": [list(p) for p in pr],
+                    "forbidden": list(forb),
+                    "error": str(e)}
+        return None
 
 
 def _check_link_construct(args, spec: InstanceSpec) -> dict:
@@ -424,31 +406,19 @@ def _check_link_construct(args, spec: InstanceSpec) -> dict:
     even = d % 2 == 0
     k = d // 2 if even else _default_k(d)
     ids = sorted(c.vertex_ids)
-    if args.mode == "exhaustive":
-        insts = _linked_instances(ids, k, even)
-        seed = None
-    else:
-        insts = _sampled_instances(ids, k, even, args.samples, args.seed)
-        seed = args.seed
-    counters: dict = {}
-    _linker.BRANCH_COUNTER = counters
-    t0 = time.perf_counter()
-    try:
-        checked, witness = _run_construct_batch(c, insts, even)
-    finally:
-        _linker.BRANCH_COUNTER = None
-    ms = int((time.perf_counter() - t0) * 1000)
-    status = ("counterexample" if witness else
-              "verified" if args.mode == "exhaustive" else "sampled_pass")
-    return {"status": status, "checked": checked, "witness": witness,
-            "elapsed_ms": ms, "seed": seed,
-            "detail": {"branches": dict(sorted(counters.items()))}}
+    insts = (_linked_instances(ids, k, even) if args.mode == "exhaustive"
+             else _sampled_instances(ids, k, even, args.samples, args.seed))
+    verdict, run = _run_campaign_check(args, insts, _ConstructCheck(c, even))
+    verdict["detail"] = {"branches": dict(sorted(run.branches.items()))}
+    return verdict
 
 
 # -- subcommands ------------------------------------------------------------------
 
 
 def _cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     spec = _spec_from_args(args)
     if args.check == "k_linked":
         verdict = _check_linked(args, spec, strong=False)
@@ -459,7 +429,16 @@ def _cmd_verify(args) -> int:
     elif args.check == "separators":
         verdict = _check_separators(args, spec)
     elif args.check == "k23":
-        verdict = _check_k23(args, spec)
+        g = build_complex(spec).graph()
+        t0 = time.perf_counter()
+        found = k23_witness(g)
+        witness = None if found is None else {
+            "pair": list(found[:2]), "common_neighbours": list(found[2])}
+        verdict = {"status": "counterexample" if witness else "verified",
+                   "checked": math.comb(g.num_vertices, 2),
+                   "witness": witness,
+                   "elapsed_ms": int((time.perf_counter() - t0) * 1000),
+                   "seed": None}
     elif args.check == "star_lemma":
         verdict = _check_star_lemma(args, spec)
     elif args.check == "technical_lemma":
@@ -564,9 +543,15 @@ def _construct_route(args, gspec, pairs, forbidden):
         n = len(gspec)
         adj = [0] * n
         for v, nbrs in enumerate(gspec):
-            for u in nbrs:
-                adj[v] |= 1 << int(u)
-                adj[int(u)] |= 1 << v
+            if not isinstance(nbrs, list):
+                raise UsageError(f"adjacency entry of vertex {v} is not a "
+                                 f"list of neighbours")
+            for u in map(int, nbrs):
+                if not 0 <= u < n:
+                    raise UsageError(f"neighbour {u} of vertex {v} is not "
+                                     f"a vertex id 0..{n - 1}")
+                adj[v] |= 1 << u
+                adj[u] |= 1 << v
         g = Graph(n, tuple(adj), (1 << n) - 1)
         method = "solve_linkage"
         p = LinkageProblem(g, pairs, frozenset(forbidden))
@@ -594,7 +579,7 @@ def _cmd_inspect(args) -> int:
               "f_vector": fvec, "facets": fvec[-1] if fvec else 0,
               "euler_characteristic": euler,
               "strongly_connected": is_strongly_connected(c),
-              "graph_connectivity": graph_vertex_connectivity(g)}
+              "graph_connectivity": vertex_connectivity(g)}
     if spec.kind == "star_of_vertex":
         report["star_center"] = default_star_center(spec)
     _emit(report, args.format)

@@ -19,8 +19,8 @@ import json
 from typing import NamedTuple, Optional
 
 from .cube import CubeFace
-from .graphs import (Graph, bits, connected_within, graph_from_edges,
-                     mask_of, vertex_connectivity)
+from .graphs import (Graph, bfs_distances, bits, connected_within,
+                     graph_from_edges, mask_of, vertex_connectivity)
 
 
 class ComplexError(ValueError):
@@ -453,10 +453,6 @@ def facet_ridge_path(c: PolytopalComplex, start: FaceHandle, goal: FaceHandle,
     return path
 
 
-def graph_vertex_connectivity(g: Graph) -> int:
-    return vertex_connectivity(g)
-
-
 # -- cube charts ---------------------------------------------------------------
 
 
@@ -484,10 +480,10 @@ class FacetChart:
         axes = sorted(bits(g.adj[base] & region))
         if len(axes) != self.m:
             raise NotCubicalError("base degree inside face is not the dimension")
-        dist0 = _bfs_dist(g, base, region)
+        dist0 = bfs_distances(g, 1 << base, region)
         bits_of: dict[int, int] = {}
         for i, a in enumerate(axes):
-            dist_a = _bfs_dist(g, a, region)
+            dist_a = bfs_distances(g, 1 << a, region)
             for v in verts:
                 if dist_a.get(v, 99) == dist0.get(v, 99) - 1:
                     bits_of[v] = bits_of.get(v, 0) | (1 << i)
@@ -595,23 +591,6 @@ class FacetChart:
     def project_to(self, vid: int, ridge: FaceHandle) -> int:
         coord, side = self.ridge_coordinate(ridge)
         return self.project(vid, coord, side)
-
-
-def _bfs_dist(g: Graph, src: int, region: int) -> dict[int, int]:
-    dist = {src: 0}
-    frontier = 1 << src
-    seen = frontier
-    d = 0
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= g.adj[v]
-        frontier = nxt & region & ~seen
-        seen |= frontier
-        d += 1
-        for v in bits(frontier):
-            dist[v] = d
-    return dist
 
 
 def other_facet_with_ridge(c: PolytopalComplex, ridge: FaceHandle,

@@ -12,11 +12,12 @@ against a naive all-simple-path-tuples enumerator on small graphs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .graphs import Graph, bits, connected_within, mask_of
 
@@ -443,97 +444,121 @@ def _verify(g: Graph, k: int, mode: str, symmetry: Optional[int],
     ids = sorted(g.vertices())
     if len(ids) < size:
         raise ValueError(f"graph has {len(ids)} vertices, need {size}")
+    t0 = time.perf_counter()
+    detail: dict = {}
     if mode == "exhaustive":
-        detail: dict = {}
+        seed = None
         if symmetry is not None:
             from .symmetry import canonical_marked_instances
             insts, orbit_info = canonical_marked_instances(symmetry, k, strong)
             detail = dict(orbit_info)
         else:
             insts = _linked_instances(ids, k, strong)
-        if jobs > 1:
-            return _parallel_campaign(g, list(insts), budget, True, None,
-                                      detail, jobs)
-        return _run_campaign(g, insts, budget, True, None, detail, progress)
-    if mode == "sampled":
+    elif mode == "sampled":
         insts = _sampled_instances(ids, k, strong, samples, seed)
-        return _run_campaign(g, insts, budget, False, seed, {}, progress)
-    raise ValueError(f"unknown mode {mode!r}")
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    run = campaign(insts, _LinkedCheck(g.adj, g.active, budget), jobs,
+                   progress)
+    ms = int((time.perf_counter() - t0) * 1000)
+    if run.witness is not None:
+        subset, forb, pr = run.witness
+        return Verdict("counterexample", run.checked,
+                       LinkageProblem(g, pr, frozenset(forb)), ms, seed,
+                       detail)
+    return Verdict("verified" if mode == "exhaustive" else "sampled_pass",
+                   run.checked, None, ms, seed, detail)
 
 
-def _run_campaign(g: Graph, instances: Iterable[Instance], budget: int,
-                  exhaustive: bool, seed: Optional[int],
-                  detail: Optional[dict] = None, progress=None) -> Verdict:
-    t0 = time.perf_counter()
-    adj, active = g.adj, g.active
-    checked = 0
-    witness: Optional[Instance] = None
-    for inst in instances:
+@dataclass(frozen=True)
+class _LinkedCheck:
+    """Campaign check: an instance passes iff its pairing is linked."""
+    adj: tuple[int, ...]
+    active: int
+    budget: int
+
+    def __call__(self, inst: Instance, tally: dict) -> Optional[Instance]:
         subset, forb, pr = inst
-        fmask = mask_of(forb)
-        if _solve_core(adj, active, pr, fmask, budget) is None:
-            checked += 1
-            witness = inst
+        if _solve_core(self.adj, self.active, pr, mask_of(forb),
+                       self.budget) is None:
+            return inst
+        return None
+
+
+# -- the campaign engine --------------------------------------------------------
+
+CAMPAIGN_BATCH = 200         # instances per batch, the unit of work of a job
+PROGRESS_EVERY = 100000      # instances between progress callbacks
+
+
+@dataclass
+class CampaignRun:
+    """What a campaign found: instances checked up to and including the
+    first witness in stream order (or all of them), that witness, and the
+    check's tallies and router branch counts summed over the same span."""
+    checked: int = 0
+    witness: Any = None
+    tally: dict = field(default_factory=dict)
+    branches: dict = field(default_factory=dict)
+
+
+def _run_batch(check: Callable[[Any, dict], Any],
+               batch: list) -> CampaignRun:
+    """Check one batch in order, stopping at its first witness.  Router
+    branches are counted in a fresh linker.BRANCH_COUNTER; the previous
+    counter is put back afterwards."""
+    from . import linker        # linker imports oracle at module level
+    out = CampaignRun()
+    saved = linker.BRANCH_COUNTER
+    linker.BRANCH_COUNTER = out.branches
+    try:
+        for inst in batch:
+            out.checked += 1
+            out.witness = check(inst, out.tally)
+            if out.witness is not None:
+                break
+    finally:
+        linker.BRANCH_COUNTER = saved
+    return out
+
+
+def campaign(instances: Iterable, check: Callable[[Any, dict], Any],
+             jobs: int = 1, progress=None) -> CampaignRun:
+    """Run `check(inst, tally)` over a stream of instances; it returns None
+    on a pass and a witness otherwise, and may count outcomes in `tally`.
+
+    The stream is read lazily, CAMPAIGN_BATCH instances at a time.  With
+    jobs > 1 the batches go to a process pool and come back in stream
+    order, so the result is the same for every job count: the first
+    witness in stream order wins, and every count stops at it.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    it = iter(instances)
+    batches = iter(lambda: list(itertools.islice(it, CAMPAIGN_BATCH)), [])
+    if jobs == 1:
+        return _collect((_run_batch(check, b) for b in batches), progress)
+    import multiprocessing
+    with multiprocessing.get_context("spawn").Pool(jobs) as pool:
+        return _collect(pool.imap(functools.partial(_run_batch, check),
+                                  batches), progress)
+
+
+def _collect(results: Iterable[CampaignRun], progress) -> CampaignRun:
+    """Sum batch results in stream order up to the first witness."""
+    run = CampaignRun()
+    for got in results:
+        run.checked += got.checked
+        for into, counts in ((run.tally, got.tally),
+                             (run.branches, got.branches)):
+            for key, n in counts.items():
+                into[key] = into.get(key, 0) + n
+        if got.witness is not None:
+            run.witness = got.witness
             break
-        checked += 1
-        if progress is not None and checked % 100000 == 0:
-            progress(checked)
-    ms = int((time.perf_counter() - t0) * 1000)
-    if witness is not None:
-        subset, forb, pr = witness
-        problem = LinkageProblem(g, pr, frozenset(forb))
-        return Verdict("counterexample", checked, problem, ms, seed,
-                       detail or {})
-    return Verdict("verified" if exhaustive else "sampled_pass",
-                   checked, None, ms, seed, detail or {})
-
-
-# one shared graph per worker process, set by the pool initializer
-_WORKER: dict = {}
-
-
-def _init_worker(adj: tuple[int, ...], active: int, budget: int) -> None:
-    _WORKER["adj"] = adj
-    _WORKER["active"] = active
-    _WORKER["budget"] = budget
-
-
-def _work_batch(batch: list[Instance]) -> tuple[int, Optional[Instance]]:
-    adj, active, budget = _WORKER["adj"], _WORKER["active"], _WORKER["budget"]
-    checked = 0
-    for inst in batch:
-        subset, forb, pr = inst
-        checked += 1
-        if _solve_core(adj, active, pr, mask_of(forb), budget) is None:
-            return checked, inst
-    return checked, None
-
-
-def _parallel_campaign(g: Graph, instances: list[Instance], budget: int,
-                       exhaustive: bool, seed: Optional[int],
-                       detail: dict, jobs: int) -> Verdict:
-    """Split instances into batches; counts add, least witness wins, so the
-    verdict is schedule-independent."""
-    import multiprocessing as mp
-    t0 = time.perf_counter()
-    chunk = max(1, len(instances) // (jobs * 8))
-    batches = [instances[i:i + chunk]
-               for i in range(0, len(instances), chunk)]
-    checked = 0
-    fails: list[Instance] = []
-    with mp.Pool(jobs, initializer=_init_worker,
-                 initargs=(g.adj, g.active, budget)) as pool:
-        for got_n, wit in pool.imap(_work_batch, batches):
-            checked += got_n
-            if wit is not None:
-                fails.append(wit)
-    ms = int((time.perf_counter() - t0) * 1000)
-    if fails:
-        subset, forb, pr = min(fails)
-        return Verdict("counterexample", checked,
-                       LinkageProblem(g, pr, frozenset(forb)), ms, seed, detail)
-    return Verdict("verified" if exhaustive else "sampled_pass",
-                   checked, None, ms, seed, detail)
+        if progress is not None and run.checked % PROGRESS_EVERY == 0:
+            progress(run.checked)
+    return run
 
 
 # -- separators, K_{2,3}, short pairs ------------------------------------------
@@ -552,15 +577,22 @@ def enumerate_separators(g: Graph, size: int) -> list[tuple[int, ...]]:
     return out
 
 
-def contains_k23(g: Graph) -> bool:
-    """True iff some two vertices share at least three neighbours."""
+def k23_witness(g: Graph) -> Optional[tuple[int, int, tuple[int, ...]]]:
+    """The first pair u < v (lexicographically) sharing at least three
+    neighbours, with the three least of them; None when no pair does."""
     ids = sorted(g.vertices())
     for i, u in enumerate(ids):
         au = g.adj[u]
         for v in ids[i + 1:]:
-            if (au & g.adj[v]).bit_count() >= 3:
-                return True
-    return False
+            common = au & g.adj[v]
+            if common.bit_count() >= 3:
+                return u, v, tuple(itertools.islice(bits(common), 3))
+    return None
+
+
+def contains_k23(g: Graph) -> bool:
+    """True iff some two vertices share at least three neighbours."""
+    return k23_witness(g) is not None
 
 
 def short_distance_pairs(f_graph: Graph, x: Sequence[int],

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import multiprocessing.pool
 
 
 from cubelink.cli import main
@@ -224,10 +225,23 @@ def test_bench_runs(capsys):
     assert all(m["per_sec"] > 0 for m in marks.values())
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "--kind", "cube", "--dim", "3",
                        "--check", "k_linked")         # missing --k
     assert code == 2 and "error" in err
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", no_pool)
+    for jobs in ("0", "-3"):
+        code, _, err = run(capsys, "verify", "--kind", "cube", "--dim", "3",
+                           "--check", "k_linked", "--k", "2", "--jobs", jobs)
+        assert code == 2 and "--jobs" in err
+    for graph in ([[1, 9], [0]], [[1, -1], [0]], [5, [0]]):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps({"graph": graph, "pairs": [[0, 1]]}))
+        code, _, err = run(capsys, "construct", "--instance", str(f))
+        assert code == 2 and "vertex" in err
     code, _, err = run(capsys, "verify", "--kind", "cube", "--dim", "6",
                        "--check", "star_lemma")       # even-d star
     assert code == 2
@@ -270,3 +284,23 @@ def test_jobs_flag_parallel_verify(capsys):
     assert code == 0
     assert rep["verdict"]["status"] == "verified"
     assert rep["verdict"]["checked"] == 5460
+    campaigns = [
+        ("--kind", "glued_chain", "--dim", "4", "--chain-length", "2",
+         "--check", "k_linked", "--k", "2", "--mode", "sampled",
+         "--samples", "700", "--seed", "3"),
+        ("--kind", "cube", "--dim", "5", "--check", "star_lemma",
+         "--mode", "sampled", "--samples", "300", "--seed", "4"),
+        ("--kind", "glued_chain", "--dim", "4", "--chain-length", "2",
+         "--check", "link_construct", "--mode", "sampled",
+         "--samples", "250", "--seed", "6"),
+    ]
+    for argv in campaigns:
+        reports = []
+        for jobs in ("1", "2"):
+            code, rep = run_json(capsys, "verify", *argv, "--jobs", jobs)
+            assert code == 0
+            rep["verdict"].pop("elapsed_ms")
+            reports.append(rep)
+        assert reports[0] == reports[1]
+        if "k_linked" not in argv:
+            assert reports[0]["verdict"]["detail"]["branches"]

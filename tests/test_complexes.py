@@ -6,12 +6,13 @@ import pytest
 
 from cubelink.complexes import (ComplexError, NotCubicalError,
                                 antistar, complex_from_json_dict,
-                                facet_ridge_path, graph_vertex_connectivity,
-                                induced_subcomplex, injection_into_antistar,
+                                facet_ridge_path, induced_subcomplex,
+                                injection_into_antistar,
                                 is_strongly_connected, link, load_complex,
                                 other_facet_with_ridge, star,
                                 technical_lemma_check, vertex_star)
 from cubelink.generators import cube_boundary, glued_cubes
+from cubelink.graphs import vertex_connectivity
 
 
 def test_cube_boundary_f_vector():
@@ -230,7 +231,7 @@ def test_antistar_of_facet_connectivity():
     for c, d in ((cube_boundary(4), 4), (glued_cubes(4, 2), 4)):
         for f in c.facets():
             g = antistar(c, f).graph()
-            assert graph_vertex_connectivity(g) >= d - 2
+            assert vertex_connectivity(g) >= d - 2
 
 
 def test_technical_frame_check_on_cube():

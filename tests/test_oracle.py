@@ -1,7 +1,11 @@
 import itertools
 import random
+import time
 
 import pytest
+
+import cubelink.symmetry
+from cubelink import linker
 
 from conftest import (
     brute_min_vertex_cut,
@@ -12,15 +16,18 @@ from conftest import (
 from cubelink.cube import cube_graph
 from cubelink.graphs import bits, graph_from_edges, mask_of
 from cubelink.oracle import (
+    CAMPAIGN_BATCH,
     Linkage,
     LinkageProblem,
     SearchBudgetExceeded,
     Verdict,
     _linked_instances,
     _sampled_instances,
+    campaign,
     contains_k23,
     count_pairings,
     enumerate_separators,
+    k23_witness,
     menger_paths,
     pairings,
     short_distance_pairs,
@@ -235,16 +242,78 @@ def test_verify_sampled_deterministic():
         verify_k_linked(g, 2, mode="bogus")
 
 
+def _report_without_elapsed(verdict: Verdict) -> dict:
+    out = verdict.to_json_dict()
+    out.pop("elapsed_ms")
+    return out
+
+
 def test_parallel_matches_serial_verdict():
     g = cube_graph(3)
     s = verify_k_linked(g, 2, jobs=1)
     p = verify_k_linked(g, 2, jobs=2)
     assert s.status == p.status == "counterexample"
-    assert s.witness.pairs == p.witness.pairs
+    assert _report_without_elapsed(s) == _report_without_elapsed(p)
+    assert p.instances_checked == 3
     g4 = cube_graph(4)
     s4 = verify_k_linked(g4, 2, jobs=2)
     assert s4.status == "verified"
     assert s4.instances_checked == 5460
+    assert _report_without_elapsed(s4) == _report_without_elapsed(
+        verify_k_linked(g4, 2, jobs=1))
+
+
+def test_campaign_reads_stream_lazily_and_stops_at_first_witness():
+    drawn = []
+
+    def stream():
+        for i in itertools.count():
+            drawn.append(i)
+            yield i
+
+    def check(inst, tally):
+        if inst % 500 == 499:
+            return ("odd one", inst)
+        tally["pass"] = tally.get("pass", 0) + 1
+        return None
+
+    run = campaign(stream(), check)
+    assert run.witness == ("odd one", 499)
+    assert run.checked == 500
+    assert run.tally == {"pass": 499}
+    assert run.branches == {}
+    assert len(drawn) < 1000
+    with pytest.raises(ValueError):
+        campaign(iter(()), check, jobs=0)
+
+
+def test_campaign_sums_router_branches_over_batches(monkeypatch):
+    outer: dict = {}
+    monkeypatch.setattr(linker, "BRANCH_COUNTER", outer)
+
+    def check(inst, tally):
+        linker._mark("step")
+        return None
+
+    run = campaign(range(2 * CAMPAIGN_BATCH + 50), check)
+    assert run.checked == 2 * CAMPAIGN_BATCH + 50
+    assert run.witness is None
+    assert run.branches == {"step": 2 * CAMPAIGN_BATCH + 50}
+    assert linker.BRANCH_COUNTER is outer and outer == {}
+
+
+def test_elapsed_ms_covers_canonicalization(monkeypatch):
+    canonical = cubelink.symmetry.canonical_marked_instances
+
+    def slow_canonical(*args):
+        time.sleep(0.2)
+        return canonical(*args)
+
+    monkeypatch.setattr(cubelink.symmetry, "canonical_marked_instances",
+                        slow_canonical)
+    v = verify_k_linked(cube_graph(3), 2, symmetry=3)
+    assert v.status == "counterexample"
+    assert v.elapsed_ms >= 200
 
 
 def test_enumerate_separators_q3():
@@ -265,6 +334,10 @@ def test_contains_k23():
     assert contains_k23(k23)
     near = graph_from_edges(5, [(0, 2), (0, 3), (1, 2), (1, 3), (1, 4)])
     assert not contains_k23(near)
+    assert k23_witness(near) is None
+    # the first pair sharing three neighbours, with its three least ones
+    k24 = graph_from_edges(6, [(u, v) for u in (2, 5) for v in (0, 1, 3, 4)])
+    assert k23_witness(k24) == (2, 5, (0, 1, 3))
 
 
 def test_short_distance_pairs():
