@@ -551,7 +551,6 @@ def _construct_route(args, gspec, pairs, forbidden):
                     raise UsageError(f"neighbour {u} of vertex {v} is not "
                                      f"a vertex id 0..{n - 1}")
                 adj[v] |= 1 << u
-                adj[u] |= 1 << v
         g = Graph(n, tuple(adj), (1 << n) - 1)
         method = "solve_linkage"
         p = LinkageProblem(g, pairs, frozenset(forbidden))
@@ -722,6 +721,10 @@ def main(argv=None) -> int:
     except (ComplexError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except ProofStepError as e:
+        print(f"error: internal proof step {e.step} failed: {e.reason}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -29,7 +29,8 @@ def bits(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected graph on 0..n-1 with an `active` vertex mask.
+    """Undirected graph on 0..n-1 with an `active` vertex mask; `adj` must
+    be symmetric (u in adj[v] iff v in adj[u]).
 
     Inactive vertices carry no edges; they exist so that subgraphs can keep
     the parent's vertex ids instead of re-indexing.
@@ -42,14 +43,34 @@ class Graph:
     def __post_init__(self):
         if self.n < 0 or self.n > 4096:
             raise ValueError(f"unsupported vertex count {self.n}")
+        if len(self.adj) != self.n:
+            raise ValueError(f"{len(self.adj)} adjacency rows for "
+                             f"{self.n} vertices")
         full = (1 << self.n) - 1
         if self.active & ~full:
             raise ValueError("active mask outside vertex range")
+        # symmetry: every listed u > v must list v back, and the entries
+        # must number twice those pairs, so no u < v entry is one-sided
+        # (half the lookups of checking every entry)
+        unmatched = 0
         for v, a in enumerate(self.adj):
             if a & ~self.active or (a and not (self.active >> v) & 1):
                 raise ValueError("edge incident to inactive vertex")
             if (a >> v) & 1:
                 raise ValueError(f"loop at vertex {v}")
+            unmatched += a.bit_count()
+            up = a >> (v + 1)
+            while up:
+                low = up & -up
+                u = v + low.bit_length()
+                if not (self.adj[u] >> v) & 1:
+                    raise ValueError(f"asymmetric adjacency: vertex {v} "
+                                     f"lists {u} but {u} does not list {v}")
+                unmatched -= 2
+                up ^= low
+        if unmatched:
+            raise ValueError("asymmetric adjacency: a vertex lists a "
+                             "lower neighbour that does not list it")
 
     # -- basic queries ----------------------------------------------------
 
@@ -80,7 +101,11 @@ class Graph:
         keep &= self.active
         adj = tuple(self.adj[v] & keep if (keep >> v) & 1 else 0
                     for v in range(self.n))
-        return Graph(self.n, adj, keep)
+        # an induced subgraph of a valid graph is valid, so skip the O(edges)
+        # __post_init__ checks: routing builds thousands of these per second
+        sub = object.__new__(Graph)
+        sub.__dict__.update(n=self.n, adj=adj, active=keep)
+        return sub
 
     def without(self, drop: Iterable[int]) -> "Graph":
         return self.restrict(self.active & ~mask_of(drop))

@@ -51,6 +51,7 @@ class ProofStepError(RuntimeError):
 
     def __init__(self, step: str, message: str):
         self.step = step
+        self.reason = message
         super().__init__(f"{step}: {message}")
 
 

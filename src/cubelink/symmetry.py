@@ -8,11 +8,11 @@ representatives and their orbit sizes.  Canonical means lexicographically
 least image, comparing instances as (sorted subset, forbidden part,
 sorted pairing) tuples.
 
-The subset stage is the heavy part (every size-m subset of 2^d vertices
-against every group element).  It runs vectorized: subsets become numpy
-uint64 bitmasks over *reversed* vertex ids, under which "lexicographically
-least subset" is exactly "numerically greatest mask", so one np.maximum
-sweep per group element finds every orbit's representative.
+The subset stage is the heavy part.  Subsets become numpy uint64 bitmasks
+over *reversed* vertex ids, under which "lexicographically least subset" is
+exactly "numerically greatest mask".  One walk in lexicographic order marks
+each orbit seen at its least member, in one vectorized step over the group;
+the same image masks give each subset's setwise stabilizer.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ def group_order(d: int) -> int:
 def group_tables(d: int) -> list[tuple[int, ...]]:
     """All 2^d * d! vertex permutation tables of the signed permutation
     group acting on bit patterns: element (perm, flip) sends v to (bits of
-    v moved by perm) xor flip.  Deterministic order."""
+    v moved by perm) xor flip.  Deterministic order, identity first."""
     if d > 6:
         raise ValueError("group enumeration supported for d <= 6")
     n = 1 << d
@@ -107,29 +107,22 @@ def canonical_instance(d: int, inst: Instance) -> Instance:
 
 # -- vectorized canonical subsets ----------------------------------------------
 
-_BITMAT = ((np.arange(256)[:, None] >> np.arange(8)[None, :]) & 1).astype(np.uint64)
+
+def _image_bits(tables: Sequence[Sequence[int]], n: int) -> np.ndarray:
+    """(|G|, n) uint64 table of vertex image bits on reversed ids:
+    1 << (n-1 - t[v])."""
+    return np.uint64(1) << (np.uint64(n - 1) - np.asarray(tables, np.uint64))
 
 
-def _byte_tables(table: Sequence[int], n: int) -> np.ndarray:
-    """(positions, 256) uint64 lookup: image of each byte chunk of a vertex
-    bitmask under one vertex permutation."""
-    positions = (n + 7) // 8
-    out = np.zeros((positions, 256), dtype=np.uint64)
-    for p in range(positions):
-        for j in range(8):
-            v = 8 * p + j
-            if v >= n:
-                break
-            out[p] |= _BITMAT[:, j] * np.uint64(1 << table[v])
-    return out
+def _image_masks(bits: np.ndarray, subset: Sequence[int]) -> np.ndarray:
+    """Reversed-id masks of the subset's image under every group element."""
+    return np.bitwise_or.reduce(bits[:, list(subset)], axis=1)
 
 
-def _apply_tables(tbl: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    acc = tbl[0][(masks & np.uint64(0xFF)).astype(np.intp)]
-    for p in range(1, tbl.shape[0]):
-        chunk = ((masks >> np.uint64(8 * p)) & np.uint64(0xFF)).astype(np.intp)
-        acc |= tbl[p][chunk]
-    return acc
+def _stabilizer(tables: list, bits: np.ndarray, subset: Sequence[int]) -> list:
+    """Elements fixing the subset setwise (tables[0] is the identity)."""
+    images = _image_masks(bits, subset)
+    return [tables[g] for g in np.flatnonzero(images == images[0])]
 
 
 def canonical_subsets(d: int, size: int,
@@ -138,28 +131,34 @@ def canonical_subsets(d: int, size: int,
     orbit, in ascending order, plus the group tables used.
 
     Works on reversed vertex ids (u = n-1-v), where subset S precedes T
-    lexicographically iff S's reversed bitmask exceeds T's, so the orbit
-    minimum is a running np.maximum over group images.
+    lexicographically iff S's reversed bitmask exceeds T's.  The walk meets
+    each orbit first at its least member and marks the orbit's masks seen.
     """
     n = 1 << d
     if n > 64:
         raise ValueError("mask sweep supports d <= 6")
     if tables is None:
         tables = group_tables(d)
-    rev = n - 1
     total = comb(n, size)
-    masks = np.fromiter(
-        (sum(1 << (rev - v) for v in c)
-         for c in itertools.combinations(range(n), size)),
-        dtype=np.uint64, count=total)
-    canon = masks.copy()
-    for t in tables:
-        rt = tuple(rev - t[rev - u] for u in range(n))   # action on reversed ids
-        np.maximum(canon, _apply_tables(_byte_tables(rt, n), masks), out=canon)
-    subs = [
-        tuple(sorted(rev - u for u in range(n) if (int(m) >> u) & 1))
-        for m in masks[canon == masks]
-    ]
+    combos = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(n), size)),
+        dtype=np.uint8, count=total * size).reshape(total, size)
+    own_bits = _image_bits([range(n)], n)[0]
+    ascending = np.zeros(total, dtype=np.uint64)  # combinations reversed
+    for column in combos[::-1].T:
+        ascending |= own_bits[column]
+    bits = _image_bits(tables, n)
+    unseen = np.ones(total, dtype=bool)
+    subs = []
+    i = 0
+    while i < total:
+        i += int(unseen[i:].argmax())
+        if not unseen[i]:
+            break
+        subs.append(tuple(combos[i].tolist()))
+        images = np.sort(_image_masks(bits, subs[-1]))  # sorted: faster search
+        unseen[total - 1 - np.searchsorted(ascending, images)] = False
+        i += 1
     return subs, tables
 
 
@@ -179,11 +178,11 @@ def canonical_marked_instances(d: int, k: int,
     size = 2 * k + (1 if strong else 0)
     subs, tables = canonical_subsets(d, size)
     order = len(tables)
+    bits = _image_bits(tables, 1 << d)
     out: list[Instance] = []
     labelled_total = 0
     for subset in subs:
-        sset = set(subset)
-        stab = [t for t in tables if {t[v] for v in subset} == sset]
+        stab = _stabilizer(tables, bits, subset)
         if strong:
             insts = [(subset, (x,), pr)
                      for x in subset

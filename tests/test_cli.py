@@ -4,8 +4,10 @@ import json
 import multiprocessing.pool
 
 
+import cubelink.cli
 from cubelink.cli import main
 from cubelink.generators import glued_cubes
+from cubelink.linker import ProofStepError
 
 
 def run(capsys, *argv):
@@ -237,7 +239,7 @@ def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
         code, _, err = run(capsys, "verify", "--kind", "cube", "--dim", "3",
                            "--check", "k_linked", "--k", "2", "--jobs", jobs)
         assert code == 2 and "--jobs" in err
-    for graph in ([[1, 9], [0]], [[1, -1], [0]], [5, [0]]):
+    for graph in ([[1, 9], [0]], [[1, -1], [0]], [5, [0]], [[1], [2], []]):
         f = tmp_path / "bad.json"
         f.write_text(json.dumps({"graph": graph, "pairs": [[0, 1]]}))
         code, _, err = run(capsys, "construct", "--instance", str(f))
@@ -250,6 +252,22 @@ def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
     assert code == 2
     code, _, err = run(capsys, "construct", "--instance", "/nonexistent.json")
     assert code == 2
+
+
+def test_internal_proof_step_failure_exits_three(tmp_path, capsys,
+                                                  monkeypatch):
+    def broken(*args):
+        raise ProofStepError("polytope.case", "injected failure")
+
+    monkeypatch.setattr(cubelink.cli, "link_in_polytope", broken)
+    prob = {"graph": {"kind": "glued_chain", "dim": 5, "chain_length": 2},
+            "pairs": [[0, 31], [14, 7], [11, 13]], "forbidden": []}
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(prob))
+    code, out, err = run(capsys, "construct", "--instance", str(f))
+    assert code == 3 and out == ""
+    assert ("error: internal proof step polytope.case failed: "
+            "injected failure") in err
 
 
 def test_budget_cap_exits_two(tmp_path, capsys):

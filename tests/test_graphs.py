@@ -37,6 +37,17 @@ def test_graph_rejects_loops_and_stray_edges():
         Graph(2, (0b10, 0b01), 0b01)               # edge to inactive vertex
 
 
+def test_graph_rejects_asymmetric_adjacency():
+    with pytest.raises(ValueError, match="asymmetric"):
+        Graph(3, (0b010, 0b100, 0b000), 0b111)     # one-way edges 0->1->2
+    with pytest.raises(ValueError, match="asymmetric"):
+        Graph(3, (0b110, 0b001, 0b000), 0b111)     # 2 misses its edge to 0
+    with pytest.raises(ValueError, match="asymmetric"):
+        Graph(3, (0b000, 0b001, 0b011), 0b111)     # 0 misses 1 and 2
+    with pytest.raises(ValueError):
+        Graph(3, (0b010, 0b001), 0b111)            # a row per vertex
+
+
 def test_restrict_keeps_parent_ids():
     g = cube_graph(3)
     sub = g.restrict(mask_of([0, 1, 3, 7]))

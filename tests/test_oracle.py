@@ -5,7 +5,7 @@ import time
 import pytest
 
 import cubelink.symmetry
-from cubelink import linker
+from cubelink import linker, oracle
 
 from conftest import (
     brute_min_vertex_cut,
@@ -229,6 +229,35 @@ def test_verify_k_linked_small():
     assert v4.status == "verified"
     assert v4.instances_checked == 3 * 1820
     assert v4.witness is None
+
+
+def test_campaign_decided_by_complete_search(monkeypatch):
+    """Greedy misses linkages that exist in this graph, so the campaign's
+    verdict rests on _solve_dfs; it must match the reference oracle run
+    over the same instance stream."""
+    g = random_graph(random.Random(10), 10, 0.4)
+    found = []
+    dfs = oracle._solve_dfs
+
+    def counted_dfs(*args):
+        got = dfs(*args)
+        found.append(got is not None)
+        return got
+
+    monkeypatch.setattr(oracle, "_solve_dfs", counted_dfs)
+    v = verify_k_linked(g, 2)
+    assert len(found) > 0 and any(found)
+    checked, witness = 0, None
+    for _, forb, pr in _linked_instances(sorted(g.vertices()), 2, False):
+        checked += 1
+        if not naive_linked(g, pr, forb):
+            witness = pr
+            break
+    assert v.instances_checked == checked
+    if witness is None:
+        assert v.status == "verified"
+    else:
+        assert v.status == "counterexample" and v.witness.pairs == witness
 
 
 def test_verify_sampled_deterministic():

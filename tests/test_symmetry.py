@@ -6,6 +6,8 @@ import random
 from cubelink.cube import cube_graph, distance
 from cubelink.oracle import LinkageProblem, solve_linkage
 from cubelink.symmetry import (
+    _image_bits,
+    _stabilizer,
     apply_instance,
     canonical_instance,
     canonical_marked_instances,
@@ -91,30 +93,51 @@ def test_canonical_instance_preserves_linkedness():
         assert a == b
 
 
-def _brute_orbit_count(d, size):
+def _brute_least_members(d, size):
+    """The first subset of each orbit in itertools.combinations order."""
     n = 1 << d
     tables = group_tables(d)
     seen = set()
-    orbits = 0
+    least = []
     for combo in itertools.combinations(range(n), size):
         if combo in seen:
             continue
-        orbits += 1
+        least.append(combo)
         for t in tables:
             seen.add(tuple(sorted(t[v] for v in combo)))
-    return orbits
+    return least
 
 
 def test_canonical_subsets_match_brute_orbits():
-    for d, size in ((3, 2), (3, 3), (3, 4), (4, 3)):
+    for d, size in ((3, 2), (3, 3), (3, 4), (4, 3), (4, 4), (4, 5), (4, 8)):
         subs, tables = canonical_subsets(d, size)
         assert len(tables) == group_order(d)
-        assert len(subs) == _brute_orbit_count(d, size)
+        assert subs == _brute_least_members(d, size)
         assert subs == sorted(subs)
         # each returned subset really is the least in its orbit
         for sub in subs[:10]:
             least = min(tuple(sorted(t[v] for v in sub)) for t in tables)
             assert least == sub
+
+
+def test_q5_orbit_structure():
+    assert len(canonical_subsets(5, 5)[0]) == 131
+    assert len(canonical_subsets(5, 6)[0]) == 472
+    _, info = canonical_marked_instances(5, 2, strong=True)
+    assert info == {"orbits": 1297, "group_order": 3840,
+                    "labelled_total": 3020640}
+
+
+def test_stabilizer_matches_set_scan():
+    tables = group_tables(4)
+    assert tables[0] == tuple(range(16))            # identity first
+    bits = _image_bits(tables, 16)
+    subs, _ = canonical_subsets(4, 5, tables)
+    assert len(subs) == 27
+    for subset in subs:
+        sset = set(subset)
+        scan = [t for t in tables if {t[v] for v in subset} == sset]
+        assert _stabilizer(tables, bits, subset) == scan
 
 
 def test_canonical_subsets_orbit_sizes_cover_everything():
