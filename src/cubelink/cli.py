@@ -379,7 +379,9 @@ def _check_technical(args, spec: InstanceSpec) -> dict:
 @dataclass(frozen=True)
 class _ConstructCheck:
     """Campaign check: the constructive router links an oracle instance
-    (subset, forbidden, pairs) without a proof-step or validation error."""
+    (subset, forbidden, pairs) and its output validates.  A validation
+    error is the witness; a ProofStepError is an internal failure, not a
+    counterexample, and propagates to `main` (exit 3)."""
     complex: PolytopalComplex
     even: bool
 
@@ -390,7 +392,7 @@ class _ConstructCheck:
                 strong_link_even(self.complex, list(subset), pr, forb[0])
             else:
                 link_in_polytope(self.complex, list(subset), pr)
-        except (ProofStepError, ValueError) as e:
+        except ValueError as e:
             return {"pairs": [list(p) for p in pr],
                     "forbidden": list(forb),
                     "error": str(e)}

@@ -7,6 +7,14 @@ the faces, so vertex ids stay stable across every derived object.  That is
 what lets the routing code track terminals through stars, facets and ridges
 without translation tables.
 
+Lattice queries are memoized on the complex they are asked of: `star`,
+`vertex_star`, `link`, the facet-ridge dual graph, `chart` and `graph` are
+computed once per complex and argument, and the same object is returned on
+every later call.  A reused star keeps its own charts, graph and sub-stars.  A
+subcomplex shares the face tuples of its parent instead of copying them.
+Complexes are immutable: a returned complex (or its `faces`) must never be
+mutated, since every later caller of the same query would see the change.
+
 Cube structure on a face is recovered by a chart: a certified bijection
 between the face's vertices and m-bit patterns under which complex edges
 are exactly bit flips.  Charts are how the generic lattice talks to the
@@ -16,7 +24,8 @@ bit-twiddling primitives in cube.py.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple, Optional
+from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence)
 
 from .cube import CubeFace
 from .graphs import (Graph, bfs_distances, bits, connected_within,
@@ -48,28 +57,71 @@ class PolytopalComplex:
 
     def __init__(self, labels: Sequence, faces_by_dim: Iterable[Iterable[Sequence[int]]],
                  check: bool = True):
-        self.labels = tuple(labels)
-        levels: list[tuple[tuple[int, ...], ...]] = []
-        for level in faces_by_dim:
-            levels.append(tuple(tuple(sorted(f)) for f in level))
+        self._set_levels(tuple(labels), [tuple(tuple(sorted(f)) for f in level)
+                                         for level in faces_by_dim])
+        if check:
+            self._check_basic()
+
+    @classmethod
+    def _subcomplex(cls, parent: "PolytopalComplex",
+                    levels: Iterable[Iterable[tuple[int, ...]]]) -> "PolytopalComplex":
+        """Complex over the parent's labels whose levels hold face tuples of
+        the parent itself: they are sorted already and are shared, not
+        copied."""
+        c = cls.__new__(cls)
+        c._set_levels(parent.labels, [tuple(level) for level in levels])
+        return c
+
+    def _set_levels(self, labels: tuple, levels: list) -> None:
         while levels and not levels[-1]:
             levels.pop()
+        self.labels = labels
         self.faces: tuple[tuple[tuple[int, ...], ...], ...] = tuple(levels)
-        self._index: list[dict[tuple[int, ...], int]] = [
-            {f: i for i, f in enumerate(level)} for level in self.faces
-        ]
+        # face tuple -> index, per level, built on the first lookup
+        self._index: list[Optional[dict[tuple[int, ...], int]]] = \
+            [None] * len(self.faces)
         self._graph: Optional[Graph] = None
         self._charts: dict[FaceHandle, "FacetChart"] = {}
         self._label_ids: Optional[dict] = None
-        if check:
-            self._check_basic()
+        # memoized lattice queries, keyed by query name and argument
+        self._memo: dict = {}
+
+    def _level_index(self, j: int) -> dict[tuple[int, ...], int]:
+        idx = self._index[j]
+        if idx is None:
+            idx = self._index[j] = {f: i for i, f in enumerate(self.faces[j])}
+        return idx
+
+    def _cached(self, key, build: Callable):
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = build()
+        return got
+
+    def _incident(self, j: int) -> dict[int, int]:
+        """Vertex id -> bit mask of the indices of the j-faces holding it."""
+        def build():
+            inc: dict[int, int] = {}
+            for i, f in enumerate(self.faces[j]):
+                for v in f:
+                    inc[v] = inc.get(v, 0) | (1 << i)
+            return inc
+        return self._cached(("incident", j), build)
+
+    def _holding(self, vertices: Iterable[int], j: int) -> int:
+        """Bit mask of the indices of the j-faces holding all the vertices."""
+        inc = self._incident(j)
+        m = (1 << len(self.faces[j])) - 1
+        for v in vertices:
+            m &= inc.get(v, 0)
+        return m
 
     # -- construction-time sanity (cheap) ---------------------------------
 
     def _check_basic(self) -> None:
         n = len(self.labels)
         for j, level in enumerate(self.faces):
-            if len(self._index[j]) != len(level):
+            if len(set(level)) != len(level):
                 raise ComplexError(f"duplicate {j}-face")
             for f in level:
                 if len(f) != len(set(f)):
@@ -125,7 +177,7 @@ class PolytopalComplex:
         for dim in range(min(j, self.dim), -1, -1):
             if len(key) < dim + 1:
                 continue
-            idx = self._index[dim].get(key)
+            idx = self._level_index(dim).get(key)
             if idx is not None:
                 return FaceHandle(dim, idx)
         return None
@@ -184,12 +236,8 @@ class PolytopalComplex:
 
     def superfaces(self, h: FaceHandle, j: int) -> list[FaceHandle]:
         """j-faces of the complex containing h, ascending index."""
-        small = set(self.face_vertices(h))
-        out = []
-        for i, f in enumerate(self.faces[j]):
-            if small <= set(f):
-                out.append(FaceHandle(j, i))
-        return out
+        return [FaceHandle(j, i)
+                for i in bits(self._holding(self.face_vertices(h), j))]
 
     def facets_containing(self, h: FaceHandle) -> list[FaceHandle]:
         return self.superfaces(h, self.dim)
@@ -284,14 +332,30 @@ def _label_from_json(label):
 
 
 def complex_from_json_dict(data: dict) -> PolytopalComplex:
+    """Complex from its `to_json_dict` form.  Malformed input of any shape
+    raises ComplexError."""
     try:
         d = data["d"]
         labels = [_label_from_json(x) for x in data["vertices"]]
         levels = data["faces"]
     except (KeyError, TypeError) as e:
         raise ComplexError(f"malformed complex JSON: {e}")
+    if type(d) is not int or d < 0:
+        raise ComplexError(f"d must be a non-negative integer, got {d!r}")
+    for label in labels:
+        try:
+            hash(label)
+        except TypeError:
+            raise ComplexError(f"vertex label {label!r} is not hashable")
     if not isinstance(levels, list) or len(levels) != d + 1:
         raise ComplexError("faces must list every dimension 0..d")
+    for level in levels:
+        if not isinstance(level, list):
+            raise ComplexError(f"a level of faces must be a list, got {level!r}")
+        for f in level:
+            if not isinstance(f, list) or any(type(v) is not int for v in f):
+                raise ComplexError(
+                    f"a face must be a list of integer vertex ids, got {f!r}")
     c = PolytopalComplex(labels, levels, check=True)
     if c.dim != d:
         raise ComplexError(f"declared dimension {d} but top faces have dim {c.dim}")
@@ -312,50 +376,52 @@ def load_complex(path: str) -> PolytopalComplex:
 
 
 def star(c: PolytopalComplex, h: FaceHandle) -> PolytopalComplex:
-    """Faces containing h, together with all their faces."""
-    core = set(c.face_vertices(h))
-    marked: list[set[int]] = []
-    keep: list[list[tuple[int, ...]]] = [[] for _ in range(c.dim + 1)]
-    for j in range(c.dim + 1):
-        for f in c.faces[j]:
-            if core <= set(f):
-                marked.append(set(f))
-    for j in range(c.dim + 1):
-        for f in c.faces[j]:
-            fs = set(f)
-            if core <= fs or any(fs <= m for m in marked):
-                keep[j].append(f)
-    return PolytopalComplex(c.labels, keep, check=False)
+    """Faces containing h, together with all their faces.  Memoized on c."""
+    return c._cached(("star", h), lambda: _build_star(c, h))
+
+
+def _build_star(c: PolytopalComplex, h: FaceHandle) -> PolytopalComplex:
+    core = c.face_vertices(h)
+    # per level, a bit mask of the faces inside some maximal face holding
+    # h.  Levels are walked from the top, so a face holding h that lies in
+    # none of the maximal faces found so far is maximal itself.
+    inside = [0] * len(c.faces)
+    for j in range(c.dim, -1, -1):
+        for i in bits(c._holding(core, j) & ~inside[j]):
+            top = set(c.faces[j][i])
+            for lv in range(j + 1):
+                # faces touching no vertex outside top lie inside it
+                outside = 0
+                for v, m in c._incident(lv).items():
+                    if v not in top:
+                        outside |= m
+                inside[lv] |= ((1 << len(c.faces[lv])) - 1) & ~outside
+    return PolytopalComplex._subcomplex(
+        c, [[level[i] for i in bits(inside[j])]
+            for j, level in enumerate(c.faces)])
 
 
 def induced_subcomplex(c: PolytopalComplex, vertices: Iterable[int]) -> PolytopalComplex:
     vs = set(vertices)
-    keep = [[f for f in level if set(f) <= vs] for level in c.faces]
-    return PolytopalComplex(c.labels, keep, check=False)
+    return PolytopalComplex._subcomplex(
+        c, [[f for f in level if vs.issuperset(f)] for level in c.faces])
 
 
 def antistar(c: PolytopalComplex, h: FaceHandle) -> PolytopalComplex:
     """All faces disjoint from h."""
     avoid = set(c.face_vertices(h))
-    keep = [[f for f in level if not (avoid & set(f))] for level in c.faces]
-    return PolytopalComplex(c.labels, keep, check=False)
+    return PolytopalComplex._subcomplex(
+        c, [[f for f in level if avoid.isdisjoint(f)] for level in c.faces])
 
 
 def link(c: PolytopalComplex, h: FaceHandle) -> PolytopalComplex:
-    """Faces of the star of h disjoint from h."""
-    core = set(c.face_vertices(h))
-    marked: list[set[int]] = []
-    for j in range(c.dim + 1):
-        for f in c.faces[j]:
-            if core <= set(f):
-                marked.append(set(f))
-    keep: list[list[tuple[int, ...]]] = [[] for _ in range(c.dim + 1)]
-    for j in range(c.dim + 1):
-        for f in c.faces[j]:
-            fs = set(f)
-            if not (fs & core) and any(fs <= m for m in marked):
-                keep[j].append(f)
-    return PolytopalComplex(c.labels, keep, check=False)
+    """Faces of the star of h disjoint from h.  Memoized on c."""
+    def build():
+        core = set(c.face_vertices(h))
+        return PolytopalComplex._subcomplex(
+            c, [[f for f in level if core.isdisjoint(f)]
+                for level in star(c, h).faces])
+    return c._cached(("link", h), build)
 
 
 def vertex_star(c: PolytopalComplex, v: int) -> PolytopalComplex:
@@ -365,20 +431,29 @@ def vertex_star(c: PolytopalComplex, v: int) -> PolytopalComplex:
 # -- strong connectivity and facet-ridge paths --------------------------------
 
 
-def _dual_edges(c: PolytopalComplex) -> dict[tuple[int, int], FaceHandle]:
-    """Map (facet_index a < facet_index b) -> shared ridge handle, for facet
-    pairs whose intersection is a ridge of the complex."""
-    out: dict[tuple[int, int], FaceHandle] = {}
-    if c.dim < 1:
-        return out
-    tops = c.faces[-1]
-    for ri, r in enumerate(c.faces[c.dim - 1]):
-        rs = set(r)
-        owners = [i for i, f in enumerate(tops) if rs <= set(f)]
-        for a in range(len(owners)):
-            for b in range(a + 1, len(owners)):
-                out[(owners[a], owners[b])] = FaceHandle(c.dim - 1, ri)
-    return out
+def _dual_graph(c: PolytopalComplex) -> tuple[dict[tuple[int, int], FaceHandle],
+                                              list[list[int]]]:
+    """The facet-ridge dual graph, memoized on c: the shared ridge of each
+    facet pair (index a < index b) whose intersection is a ridge of the
+    complex, and every facet's neighbours in ascending index."""
+    def build():
+        edges: dict[tuple[int, int], FaceHandle] = {}
+        k = len(c.faces[-1]) if c.faces else 0
+        adj: list[list[int]] = [[] for _ in range(k)]
+        if c.dim >= 1:
+            for ri in range(len(c.faces[c.dim - 1])):
+                r = FaceHandle(c.dim - 1, ri)
+                owners = [f.index for f in c.superfaces(r, c.dim)]
+                for a in range(len(owners)):
+                    for b in range(a + 1, len(owners)):
+                        edges[(owners[a], owners[b])] = r
+        for (a, b) in edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        for row in adj:
+            row.sort()
+        return edges, adj
+    return c._cached("dual", build)
 
 
 def is_strongly_connected(c: PolytopalComplex) -> bool:
@@ -392,7 +467,7 @@ def is_strongly_connected(c: PolytopalComplex) -> bool:
         return True
     if c.dim == 0:
         return k == 1
-    dual = _dual_edges(c)
+    dual, _ = _dual_graph(c)
     g = graph_from_edges(k, dual.keys())
     return connected_within(g, (1 << k) - 1)
 
@@ -411,14 +486,7 @@ def facet_ridge_path(c: PolytopalComplex, start: FaceHandle, goal: FaceHandle,
     banned = set(avoid)
     if start in banned or goal in banned:
         raise ComplexError("endpoint in avoid set")
-    dual = _dual_edges(c)
-    k = len(c.faces[-1])
-    adj: list[list[int]] = [[] for _ in range(k)]
-    for (a, b) in dual:
-        adj[a].append(b)
-        adj[b].append(a)
-    for row in adj:
-        row.sort()
+    dual, adj = _dual_graph(c)
     blocked = {h.index for h in banned}
     if start == goal:
         return [start]
@@ -504,10 +572,10 @@ class FacetChart:
         self._bits = bits_of
         self._vid: tuple[int, ...] = tuple(vid_of)      # type: ignore
         # every complex face inside must be a subcube in these coordinates
+        vset = set(verts)
         for j in range(self.m):
             for f in c.faces[j]:
-                fs = set(f)
-                if not fs <= set(verts):
+                if not vset.issuperset(f):
                     continue
                 pats = sorted(bits_of[v] for v in f)
                 varying = 0

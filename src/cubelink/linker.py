@@ -54,6 +54,10 @@ class ProofStepError(RuntimeError):
         self.reason = message
         super().__init__(f"{step}: {message}")
 
+    def __reduce__(self):
+        # a campaign worker process sends the error back pickled
+        return type(self), (self.step, self.reason)
+
 
 def _need(cond, step: str, message: str) -> None:
     if not cond:

@@ -244,6 +244,20 @@ def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
         f.write_text(json.dumps({"graph": graph, "pairs": [[0, 1]]}))
         code, _, err = run(capsys, "construct", "--instance", str(f))
         assert code == 2 and "vertex" in err
+    edge = [[[0], [1]], [[0, 1]]]
+    for bad in ({"d": 1, "vertices": [0, 1], "faces": [[["a"], [1]], [[0, 1]]]},
+                {"d": 1, "vertices": [0, 1], "faces": [[0, 1], [[0, 1]]]},
+                {"d": "1", "vertices": [0, 1], "faces": edge},
+                {"d": True, "vertices": [0, 1], "faces": edge},
+                {"d": 1, "vertices": [0, 1], "faces": [[[0.0], [1]], [[0, 1]]]},
+                {"d": 1, "vertices": [0, 1], "faces": [[[True], [1]], [[0, 1]]]},
+                {"d": 1, "vertices": [{"a": 1}, 1], "faces": edge},
+                {"d": -1, "vertices": [], "faces": []}):
+        f = tmp_path / "bad_complex.json"
+        f.write_text(json.dumps(bad))
+        code, _, err = run(capsys, "verify", "--kind", "from_file",
+                           "--instance", str(f), "--check", "k23")
+        assert code == 2 and err.startswith("error: ")
     code, _, err = run(capsys, "verify", "--kind", "cube", "--dim", "6",
                        "--check", "star_lemma")       # even-d star
     assert code == 2
@@ -268,6 +282,46 @@ def test_internal_proof_step_failure_exits_three(tmp_path, capsys,
     assert code == 3 and out == ""
     assert ("error: internal proof step polytope.case failed: "
             "injected failure") in err
+
+
+class _FailingConstruct(cubelink.cli._ConstructCheck):
+    """A link_construct check whose router step always fails; defined at
+    module level so that spawned campaign workers can unpickle it."""
+
+    def __call__(self, inst, tally):
+        raise ProofStepError("polytope.case", "injected failure")
+
+
+def test_proof_step_failure_in_link_construct_exits_three(capsys,
+                                                          monkeypatch):
+    argv = ("verify", "--kind", "glued_chain", "--dim", "5",
+            "--chain-length", "2", "--check", "link_construct",
+            "--mode", "sampled", "--samples", "20", "--seed", "1")
+    want = "error: internal proof step polytope.case failed: injected failure"
+
+    def broken(*args):
+        raise ProofStepError("polytope.case", "injected failure")
+
+    with monkeypatch.context() as m:
+        m.setattr(cubelink.cli, "link_in_polytope", broken)
+        code, out, err = run(capsys, *argv, "--jobs", "1")
+    assert code == 3 and out == "" and want in err
+    # worker processes import cli afresh, so at --jobs 2 the failing
+    # router comes in with the check object instead
+    with monkeypatch.context() as m:
+        m.setattr(cubelink.cli, "_ConstructCheck", _FailingConstruct)
+        code, out, err = run(capsys, *argv, "--jobs", "2")
+    assert code == 3 and out == "" and want in err
+
+    def invalid(*args):
+        raise ValueError("paths are not disjoint")
+
+    # a validation error stays a counterexample witness
+    with monkeypatch.context() as m:
+        m.setattr(cubelink.cli, "link_in_polytope", invalid)
+        code, rep = run_json(capsys, *argv, "--jobs", "1")
+    assert code == 1
+    assert rep["verdict"]["witness"]["error"] == "paths are not disjoint"
 
 
 def test_budget_cap_exits_two(tmp_path, capsys):

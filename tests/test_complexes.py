@@ -1,10 +1,13 @@
 """Face lattices, subcomplexes, charts, and the structural star checks."""
 
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from cubelink.complexes import (ComplexError, NotCubicalError,
+from cubelink.complexes import (ComplexError, NotCubicalError, _dual_graph,
                                 antistar, complex_from_json_dict,
                                 facet_ridge_path, induced_subcomplex,
                                 injection_into_antistar,
@@ -72,6 +75,56 @@ def test_loader_rejects_non_lattice():
         complex_from_json_dict(data)
 
 
+# JSON values of every shape, and valid complex files with one part replaced
+# by such a value: the loader must answer each with a complex or a
+# ComplexError, never another exception.
+_JSON = hst.recursive(
+    hst.none() | hst.booleans() | hst.integers(-2, 40) | hst.text(max_size=2)
+    | hst.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: hst.lists(inner, max_size=4)
+    | hst.dictionaries(hst.text(max_size=2), inner, max_size=3),
+    max_leaves=12)
+_VALID = [c.to_json_dict() for c in (cube_boundary(2), cube_boundary(3),
+                                     glued_cubes(3, 2))]
+
+
+@hst.composite
+def _mutated_complex(draw):
+    data = copy.deepcopy(draw(hst.sampled_from(_VALID)))
+    value = draw(_JSON)
+    where = draw(hst.sampled_from(["d", "vertices", "label", "faces", "level",
+                                  "face", "vertex", "drop", "repeat"]))
+    levels = data["faces"]
+    j = draw(hst.integers(0, len(levels) - 1))
+    i = draw(hst.integers(0, len(levels[j]) - 1))
+    if where in ("d", "vertices", "faces"):
+        data[where] = value
+    elif where == "label":
+        data["vertices"][i % len(data["vertices"])] = value
+    elif where == "level":
+        levels[j] = value
+    elif where == "face":
+        levels[j][i] = value
+    elif where == "vertex":
+        face = levels[j][i]
+        face[draw(hst.integers(0, len(face) - 1))] = value
+    elif where == "drop":
+        del levels[j][i]
+    else:
+        levels[j].append(list(levels[j][i]))
+    return data
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(hst.one_of(_JSON, _mutated_complex()))
+def test_loader_raises_only_complex_error(data):
+    try:
+        c = complex_from_json_dict(data)
+    except ComplexError:
+        return
+    assert c.dim == data["d"]
+
+
 def test_loader_rejects_non_cubical_facet():
     # a triangle is not a combinatorial 1-cube boundary cell at dim 2
     data = {"d": 2, "vertices": [0, 1, 2],
@@ -116,6 +169,49 @@ def test_vertex_star_facets_all_contain_centre():
     st = vertex_star(c, 8)
     for f in st.facets():
         assert 8 in st.face_vertices(f)
+
+
+def _scan_subcomplex(c, h, with_core):
+    """Reference star (with_core) or link of h by the plain subset scan:
+    the faces inside some face that holds h, as levels of tuples."""
+    core = set(c.face_vertices(h))
+    marked = [set(f) for level in c.faces for f in level if core <= set(f)]
+    levels = [tuple(f for f in level
+                    if (with_core or not core & set(f))
+                    and any(set(f) <= m for m in marked))
+              for level in c.faces]
+    while levels and not levels[-1]:
+        levels.pop()
+    return tuple(levels)
+
+
+@pytest.mark.parametrize("make", [lambda: cube_boundary(5),
+                                  lambda: glued_cubes(5, 2)])
+def test_lattice_queries_are_memoized_and_share_faces(make):
+    c = make()
+    parent_faces = {f: f for level in c.faces for f in level}
+    for v in c.vertex_ids:
+        h = c.vertex_handle(v)
+        sv, lk = vertex_star(c, v), link(c, h)
+        assert star(c, h) is sv and vertex_star(c, v) is sv
+        assert link(c, h) is lk
+        assert sv.faces == _scan_subcomplex(c, h, True)
+        assert lk.faces == _scan_subcomplex(c, h, False)
+        for sub in (sv, lk):
+            assert sub.labels is c.labels
+            assert all(parent_faces[f] is f for level in sub.faces
+                       for f in level)
+            # no index is built before the first lookup
+            assert all(idx is None for idx in sub._index)
+            for j, level in enumerate(sub.faces):
+                for i, f in enumerate(level):
+                    assert sub.handle_of(reversed(f)) == (j, i)
+        assert lk.handle_of((v,)) is None
+        # a sub-star of a reused star, and its facet-ridge graph, are
+        # memoized on that star
+        w = next(u for u in sv.vertex_ids if u != v)
+        assert vertex_star(sv, w) is vertex_star(sv, w)
+        assert _dual_graph(sv) is _dual_graph(sv)
 
 
 def test_induced_subcomplex_drops_everything_touching_removed():

@@ -1,3 +1,5 @@
+import hashlib
+import pickle
 import random
 
 import pytest
@@ -42,6 +44,8 @@ def test_proof_step_error_carries_step():
     e = ProofStepError("star.spread.far", "boom")
     assert e.step == "star.spread.far"
     assert "star.spread.far" in str(e) and "boom" in str(e)
+    back = pickle.loads(pickle.dumps(e))     # as a campaign worker sends it
+    assert (back.step, back.reason, str(back)) == (e.step, e.reason, str(e))
 
 
 def test_star_problem_validation():
@@ -316,3 +320,55 @@ def test_even_campaign_sampled(counter):
             assert all(avoid not in p for p in lk.paths)
     assert counter.get("even.link", 0) + counter.get("even.rescue", 0) == 400
     assert counter.get("even.rescue", 0) > 0
+
+
+def _routing_digest(route, runs) -> str:
+    """sha256 over the paths of every routing and the branch counts."""
+    saved = linker.BRANCH_COUNTER
+    linker.BRANCH_COUNTER = {}
+    try:
+        h = hashlib.sha256()
+        for args in runs:
+            h.update(repr(route(*args).paths).encode())
+        h.update(repr(sorted(linker.BRANCH_COUNTER.items())).encode())
+    finally:
+        linker.BRANCH_COUNTER = saved
+    return h.hexdigest()
+
+
+def _polytope_runs(c, n, seed):
+    # the criterion-8 generator
+    ids = sorted(c.vertex_ids)
+    rng = random.Random(seed)
+    for _ in range(n):
+        chosen = rng.sample(ids, 6)
+        prs = list(pairings(tuple(chosen)))
+        yield c, chosen, prs[rng.randrange(len(prs))]
+
+
+def _even_runs(c, n, seed):
+    # the criterion-9 generator
+    ids = sorted(c.vertex_ids)
+    rng = random.Random(seed)
+    for _ in range(n):
+        chosen = rng.sample(ids, 5)
+        prs = list(pairings(tuple(chosen[1:])))
+        yield c, chosen, prs[rng.randrange(len(prs))], chosen[0]
+
+
+# Pinned digests of the routings below.  A fresh complex (cold lattice
+# caches) and a reused one (warm caches) must both reproduce them, so any
+# change to a path or a branch count fails here.
+POLYTOPE_DIGEST = "b7a253bf2de6a18a017a0eefcd102a0e47dec2b6c7111870c8e0c2348aed0175"
+EVEN_DIGEST = "f4313d5a1938d4d438d4929851649d37512e8daea103199b9d955c630e6b3209"
+
+
+def test_routing_output_pinned_cold_and_warm():
+    g5 = glued_cubes(5, 2)
+    for _ in range(2):
+        assert _routing_digest(link_in_polytope,
+                               _polytope_runs(g5, 300, 8)) == POLYTOPE_DIGEST
+    g4 = glued_cubes(4, 2)
+    for _ in range(2):
+        assert _routing_digest(strong_link_even,
+                               _even_runs(g4, 300, 9)) == EVEN_DIGEST
