@@ -240,6 +240,22 @@ def _centre_first(pr, centre):
     return (first,) + tuple(rest)
 
 
+def _link_in_star_ordered(star: PolytopalComplex, centre: int, pairs):
+    """Route `pairs` in the star of `centre`.  The router takes the centre's
+    pair first; a linkage comes back with its paths in the order of `pairs`,
+    path i running from pairs[i][0] to pairs[i][1].  A refusal is returned
+    as is."""
+    res = link_in_star(StarProblem(star, centre, _centre_first(pairs, centre)))
+    if isinstance(res, ConfigDFRefusal):
+        return res
+    first, *rest = res.paths
+    paths = []
+    for s, t in pairs:
+        path = first if centre in (s, t) else rest.pop(0)
+        paths.append(path if path[0] == s else path[::-1])
+    return Linkage(tuple(paths))
+
+
 def _star_exhaustive(ids, centre, k):
     rest = [v for v in ids if v != centre]
     for subset in combinations(rest, 2 * k - 1):
@@ -271,8 +287,7 @@ class _StarCheck:
     def __call__(self, inst, tally: dict):
         xs, pr = inst
         sg = self.star.graph()
-        ours = link_in_star(StarProblem(self.star, self.centre,
-                                        _centre_first(pr, self.centre)))
+        ours = _link_in_star_ordered(self.star, self.centre, pr)
         oracle = solve_linkage(LinkageProblem(sg, pr), self.budget)
         det = detect_config_dF(self.star, xs, pr, self.centre)
         got_linkage = isinstance(ours, Linkage)
@@ -464,6 +479,13 @@ def _load_problem(path: str) -> dict:
         raise UsageError(f"cannot read problem file: {e}")
 
 
+def _vertex_id(x, what: str) -> int:
+    # bool is an int subclass, and int() would truncate 0.7 to 0
+    if type(x) is not int:
+        raise UsageError(f"{what} {json.dumps(x)} is not an integer vertex id")
+    return x
+
+
 def _refusal_json(star: PolytopalComplex, ref: ConfigDFRefusal) -> dict:
     ctx = ref.context
     out = {"facet": list(star.face_vertices(ref.facet)),
@@ -477,16 +499,20 @@ def _cmd_construct(args) -> int:
     if not args.instance:
         raise UsageError("construct needs --instance FILE (problem json)")
     prob = _load_problem(args.instance)
-    try:
-        pairs = tuple((int(s), int(t)) for s, t in prob["pairs"])
-    except (KeyError, TypeError, ValueError):
+    if not isinstance(prob, dict):
+        raise UsageError("problem file must hold a json object")
+    raw = prob.get("pairs")
+    if not isinstance(raw, list) or not all(
+            isinstance(p, list) and len(p) == 2 for p in raw):
         raise UsageError('problem file needs "pairs": [[s, t], ...]')
-    forbidden = [int(v) for v in prob.get("forbidden", [])]
+    pairs = tuple((_vertex_id(s, "pair"), _vertex_id(t, "pair"))
+                  for s, t in raw)
+    raw = prob.get("forbidden", [])
+    if not isinstance(raw, list):
+        raise UsageError('"forbidden" must be a list of vertex ids')
+    forbidden = [_vertex_id(v, "forbidden vertex") for v in raw]
     gspec = prob.get("graph")
     t0 = time.perf_counter()
-    status = "linked"
-    paths = None
-    refusal = None
     import cubelink.linker as _linker
     _linker.BRANCH_COUNTER = branches = {}
     try:
@@ -513,13 +539,21 @@ def _construct_route(args, gspec, pairs, forbidden):
         extra = set(gspec) - allowed
         if extra:
             raise UsageError(f"unknown instance keys {sorted(extra)}")
+        if "kind" not in gspec:
+            raise UsageError('instance spec needs a "kind"')
+        for key, value in gspec.items():
+            want = str if key in ("kind", "path") else int
+            if type(value) is not want:
+                raise UsageError(f"instance key {key!r} must be "
+                                 f"{want.__name__}, got {json.dumps(value)}")
         spec = InstanceSpec(**gspec)
         c = build_complex(spec)
         if spec.kind == "star_of_vertex":
+            if forbidden:
+                raise UsageError("star routing takes no forbidden set")
             vs = star_instance(c, default_star_center(spec))
             method = "link_in_star"
-            res = link_in_star(StarProblem(
-                vs.complex, vs.center, _centre_first(pairs, vs.center)))
+            res = _link_in_star_ordered(vs.complex, vs.center, pairs)
             if isinstance(res, ConfigDFRefusal):
                 status = "refused"
                 refusal = _refusal_json(vs.complex, res)
@@ -548,10 +582,10 @@ def _construct_route(args, gspec, pairs, forbidden):
             if not isinstance(nbrs, list):
                 raise UsageError(f"adjacency entry of vertex {v} is not a "
                                  f"list of neighbours")
-            for u in map(int, nbrs):
-                if not 0 <= u < n:
-                    raise UsageError(f"neighbour {u} of vertex {v} is not "
-                                     f"a vertex id 0..{n - 1}")
+            for u in nbrs:
+                if type(u) is not int or not 0 <= u < n:
+                    raise UsageError(f"neighbour {json.dumps(u)} of vertex "
+                                     f"{v} is not a vertex id 0..{n - 1}")
                 adj[v] |= 1 << u
         g = Graph(n, tuple(adj), (1 << n) - 1)
         method = "solve_linkage"

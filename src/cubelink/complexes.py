@@ -687,7 +687,16 @@ def injection_into_antistar(star_c: PolytopalComplex, facet: FaceHandle,
     facet onto its opposite ridge.  The result pairs each vertex with one of
     its graph neighbours in V(star) minus V(facet), no two vertices sharing
     an image.
+
+    Memoized on star_c per (facet, s), contract checks included on the first
+    build: the returned dict is shared and must not be mutated.
     """
+    return star_c._cached(("injection", facet, s),
+                          lambda: _build_injection(star_c, facet, s))
+
+
+def _build_injection(star_c: PolytopalComplex, facet: FaceHandle,
+                     s: int) -> dict[int, int]:
     ch = star_c.chart(facet)
     if not ch.contains(s):
         raise ComplexError("s must lie on the facet")

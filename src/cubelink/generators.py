@@ -111,8 +111,11 @@ def build_complex(spec: InstanceSpec) -> PolytopalComplex:
             return glued_cubes(spec.dim, spec.chain_length)
         return cube_boundary(spec.dim)
     if spec.kind == "from_file":
-        with open(spec.path) as fh:
-            return complex_from_json_dict(json.load(fh))
+        try:
+            with open(spec.path) as fh:
+                return complex_from_json_dict(json.load(fh))
+        except OSError as e:
+            raise ValueError(f"cannot read complex file: {e}") from None
     raise AssertionError
 
 

@@ -3,11 +3,19 @@
 Vertices are integers 0..n-1 and vertex sets are int bitmasks throughout.
 Every graph here is tiny (a few hundred vertices at most), so adjacency is
 a list of bitmasks and set algebra is bit twiddling.
+
+There is one flow primitive, `disjoint_paths` (Menger's theorem: disjoint
+A-B paths), and `local_connectivity` reduces to it.  It keeps the flow as
+per-vertex state and searches the implicit residual of the node-split
+network, so no network is built per call (building one cost three times
+the search itself on the router's <= 64-vertex graphs).  Its BFS visits
+residual neighbours in one fixed order, the order an explicit network
+built ascending would list them in: the router's case analysis branches
+on which paths come back, so that order is part of the contract.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -217,160 +225,145 @@ def shortest_path(g: Graph, src: int, targets: int,
     return None
 
 
-# -- vertex-capacity max flow ----------------------------------------------
+# -- vertex-disjoint paths (Menger) ------------------------------------------
 #
-# Node split: in(v) = 2v, out(v) = 2v+1, source = 2n, sink = 2n+1.  All
-# vertex capacities are 1 (endpoints included), so the flow value equals the
-# maximum number of pairwise fully-disjoint A-B paths.
-
-
-class _FlowNet:
-    def __init__(self, size: int):
-        self.head: list[list[int]] = [[] for _ in range(size)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add(self, u: int, v: int, c: int) -> None:
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def augment(self, s: int, t: int) -> bool:
-        # BFS for one augmenting path; edge lists are scanned in insertion
-        # order and vertices were added ascending, so the result is stable.
-        prev_edge = [-1] * len(self.head)
-        prev_edge[s] = -2
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            if u == t:
-                break
-            for e in self.head[u]:
-                v = self.to[e]
-                if self.cap[e] > 0 and prev_edge[v] == -1:
-                    prev_edge[v] = e
-                    q.append(v)
-        if prev_edge[t] == -1:
-            return False
-        v = t
-        while v != s:
-            e = prev_edge[v]
-            self.cap[e] -= 1
-            self.cap[e ^ 1] += 1
-            v = self.to[e ^ 1]
-        return True
+# The flow lives on the node-split network: in(v) -> out(v) with capacity 1
+# for every vertex, out(v) -> in(w) for every edge v-w, a source S -> in(a)
+# for every a in A and out(b) -> T for every b in B.  The network is never
+# built.  With unit vertex capacities a vertex passes at most one unit, so
+# the flow is per-vertex state: the mask `thru` of vertices carrying flow,
+# fout[v] = w and fin[w] = v for each flow edge v -> w (-1 for none), and
+# the masks of sources and sinks whose S/T edge is used.  Residual
+# neighbours of a split node are read off that state and the `g.adj`
+# bitmasks.
 
 
 def disjoint_paths(g: Graph, sources: Sequence[int], sinks: Sequence[int],
-                   need: Optional[int] = None,
-                   allowed: Optional[int] = None) -> tuple[int, list[list[int]]]:
+                   need: Optional[int] = None) -> tuple[int, list[list[int]]]:
     """Maximum family of pairwise vertex-disjoint paths from `sources` to
     `sinks` (disjoint including endpoints).
 
     Returns (count, paths).  If `need` is given, stops once that many paths
     exist; count may still fall short when the graph cannot supply them.
-    Paths are recovered by a least-vertex-first walk over the flow, so the
-    decomposition is canonical.  A vertex in both sets yields a length-0
-    path [v].
+    A vertex in both sets yields a length-0 path [v].
+
+    Each augmenting path is found by a BFS over the implicit residual of
+    the node-split network (see above), which visits neighbours in a fixed
+    order: S reaches the unused sources ascending; in(v) goes to out(v)
+    when v carries no flow, else back to out(fin[v]); out(v) goes first to
+    in(v) when v carries flow, then to in(w) for w in adj[v] ascending
+    (skipping fout[v]), then to T when v is an unused sink; the first node
+    to discover another is its parent.  That is the insertion order of an
+    explicit edge-list network built ascending, so the chosen flow, and the
+    paths and router branches that depend on it, are canonical.  Paths are
+    read by following fout from each used source, ascending, to a used
+    sink.
     """
-    if allowed is not None:
-        g = g.restrict(allowed)
     srcs = sorted(set(sources))
     snks = sorted(set(sinks))
     for v in srcs + snks:
         if not (g.active >> v) & 1:
             raise ValueError(f"terminal {v} not in graph")
+    adj = g.adj
     n = g.n
-    net = _FlowNet(2 * n + 2)
-    S, T = 2 * n, 2 * n + 1
+    src_mask = mask_of(srcs)
     snk_mask = mask_of(snks)
-    for v in bits(g.active):
-        net.add(2 * v, 2 * v + 1, 1)
-    for v in bits(g.active):
-        for w in bits(g.adj[v]):
-            net.add(2 * v + 1, 2 * w, 1)
-    for a in srcs:
-        net.add(S, 2 * a, 1)
-    for b in snks:
-        net.add(2 * b + 1, T, 1)
+    fout = [-1] * n
+    fin = [-1] * n
+    thru = used_src = used_snk = 0
+    par = [0] * (2 * n)              # split node -> the node that found it
     flow = 0
     cap = len(srcs) if need is None else need
-    while flow < cap and net.augment(S, T):
+    while flow < cap:
+        # BFS; node 2v is in(v), 2v+1 is out(v), -1 is S
+        free = src_mask & ~used_src
+        seen_in = free
+        seen_out = 0
+        queue = []
+        for a in bits(free):
+            par[2 * a] = -1
+            queue.append(2 * a)
+        end = -1                     # out(b) of the sink reaching T
+        i = 0
+        while i < len(queue):
+            x = queue[i]
+            i += 1
+            v = x >> 1
+            if not x & 1:                                  # in(v)
+                u = fin[v] if (thru >> v) & 1 else v
+                if u >= 0 and not (seen_out >> u) & 1:
+                    seen_out |= 1 << u
+                    par[2 * u + 1] = x
+                    queue.append(2 * u + 1)
+                continue
+            if (thru >> v) & 1 and not (seen_in >> v) & 1:  # out(v)
+                seen_in |= 1 << v
+                par[2 * v] = x
+                queue.append(2 * v)
+            fresh = adj[v] & ~seen_in
+            if fout[v] >= 0:
+                fresh &= ~(1 << fout[v])
+            seen_in |= fresh
+            while fresh:
+                low = fresh & -fresh
+                w = low.bit_length() - 1
+                par[2 * w] = x
+                queue.append(2 * w)
+                fresh ^= low
+            if (snk_mask >> v) & 1 and not (used_snk >> v) & 1:
+                end = x
+                break
+        if end < 0:
+            break
+        # augment from T back to S; clears are conditional because a
+        # vertex can lose one flow edge and gain another on the same path
+        used_snk |= 1 << (end >> 1)
+        x = end
+        while True:
+            p = par[x]
+            v = x >> 1
+            if p < 0:                                      # S -> in(v)
+                used_src |= 1 << v
+                break
+            u = p >> 1
+            if x & 1:                                      # ... -> out(v)
+                if u == v:                                 # in(v) -> out(v)
+                    thru |= 1 << v
+                else:                                      # cancel v -> u
+                    if fout[v] == u:
+                        fout[v] = -1
+                    if fin[u] == v:
+                        fin[u] = -1
+            elif u == v:                                   # out(v) -> in(v)
+                thru &= ~(1 << v)
+            else:                                          # flow u -> v
+                fout[u] = v
+                fin[v] = u
+            x = p
         flow += 1
 
-    # Trace paths: from each used source, repeatedly follow the unique
-    # saturated out-edge, preferring the least next vertex (edges were added
-    # ascending so first-found is least).  Consume flow while walking.
     paths: list[list[int]] = []
-    for a in srcs:
-        # does a's source edge carry flow?
-        carried = False
-        for e in net.head[S]:
-            if e % 2 == 0 and net.to[e] == 2 * a and net.cap[e ^ 1] > 0:
-                carried = True
-                net.cap[e ^ 1] -= 1
-                break
-        if not carried:
-            continue
+    for a in bits(used_src):
         path = [a]
-        node = 2 * a
-        while True:
-            # follow in(v) -> out(v)
-            nxt = None
-            for e in net.head[node]:
-                if e % 2 == 0 and net.cap[e ^ 1] > 0 and net.to[e] == node + 1:
-                    nxt = e
-                    break
-            assert nxt is not None, "flow conservation broken"
-            net.cap[nxt ^ 1] -= 1
-            node = node + 1
-            v = node // 2
-            if (snk_mask >> v) & 1:
-                # is the sink edge used, or does flow continue?
-                sink_edge = None
-                for e in net.head[node]:
-                    if e % 2 == 0 and net.to[e] == T and net.cap[e ^ 1] > 0:
-                        sink_edge = e
-                        break
-                if sink_edge is not None:
-                    net.cap[sink_edge ^ 1] -= 1
-                    break
-            # follow out(v) -> in(w), least w first
-            step = None
-            for e in net.head[node]:
-                if e % 2 == 0 and net.to[e] != node - 1 and net.cap[e ^ 1] > 0:
-                    if step is None or net.to[e] < net.to[step]:
-                        step = e
-            assert step is not None, "flow conservation broken"
-            net.cap[step ^ 1] -= 1
-            node = net.to[step]
-            path.append(node // 2)
+        v = a
+        while not (used_snk >> v) & 1:
+            v = fout[v]
+            assert v >= 0, "flow conservation broken"
+            path.append(v)
         paths.append(path)
     assert len(paths) == flow
     return flow, paths
 
 
 def local_connectivity(g: Graph, u: int, v: int) -> int:
-    """Max number of internally-disjoint u-v paths (u,v non-adjacent)."""
-    if g.has_edge(u, v):
+    """Max number of internally-disjoint u-v paths (u,v non-adjacent).
+
+    By Menger this is the number of disjoint N(u)-N(v) paths in G - u - v.
+    """
+    if u == v or g.has_edge(u, v):
         raise ValueError("local connectivity needs a non-adjacent pair")
-    n = g.n
-    net = _FlowNet(2 * n + 2)
-    for w in bits(g.active):
-        c = 10 ** 9 if w in (u, v) else 1
-        net.add(2 * w, 2 * w + 1, c)
-    for w in bits(g.active):
-        for x in bits(g.adj[w]):
-            net.add(2 * w + 1, 2 * x, 1)
-    flow = 0
-    while net.augment(2 * u, 2 * v + 1):
-        flow += 1
-        if flow > g.num_vertices:
-            raise RuntimeError("flow runaway")
-    return flow
+    return disjoint_paths(g.without([u, v]), list(bits(g.adj[u])),
+                          list(bits(g.adj[v])))[0]
 
 
 def vertex_connectivity(g: Graph) -> int:

@@ -5,7 +5,7 @@ Everything here favours obviousness over speed."""
 import itertools
 import random
 
-from cubelink.graphs import Graph, bits, graph_from_edges
+from cubelink.graphs import Graph, bits, graph_from_edges, mask_of
 
 
 def iter_simple_paths(g: Graph, s: int, t: int, banned):
@@ -73,8 +73,8 @@ def has_set_path(g: Graph, amask: int, bmask: int, removed: int) -> bool:
 def brute_min_vertex_cut(g: Graph, a, b) -> int:
     """Smallest vertex set (any vertices allowed) whose removal leaves no
     A-B path.  Exponential; for small graphs only."""
-    amask = sum(1 << v for v in a)
-    bmask = sum(1 << v for v in b)
+    amask = mask_of(a)
+    bmask = mask_of(b)
     ids = sorted(bits(g.active))
     for size in range(len(ids) + 1):
         for combo in itertools.combinations(ids, size):

@@ -4,6 +4,9 @@ import json
 import multiprocessing.pool
 
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hst
+
 import cubelink.cli
 from cubelink.cli import main
 from cubelink.generators import glued_cubes
@@ -171,6 +174,37 @@ def test_construct_star_refusal(tmp_path, capsys):
     assert rep["refusal"]["facet"] == list(range(16))
 
 
+def test_construct_star_keeps_caller_pair_order(tmp_path, capsys):
+    # the centre 0 is in the second pair; the router takes it first
+    f = tmp_path / "p.json"
+    reports = []
+    for pairs in ([[7, 26], [0, 17], [25, 13]],
+                  [[17, 0], [13, 25], [26, 7]]):
+        f.write_text(json.dumps({
+            "graph": {"kind": "star_of_vertex", "dim": 5}, "pairs": pairs}))
+        code, rep = run_json(capsys, "construct", "--instance", str(f))
+        assert code == 0 and rep["status"] == "linked"
+        assert [[p[0], p[-1]] for p in rep["paths"]] == pairs
+        reports.append(rep)
+    assert (sorted(map(sorted, reports[0]["paths"]))
+            == sorted(map(sorted, reports[1]["paths"])))
+
+
+def test_star_lemma_centre_outside_first_pair(capsys):
+    # the centre 16 of the bicube_5 star sorts after other terminals, so
+    # most sampled instances do not list its pair first
+    code, rep = run_json(capsys, "verify", "--kind", "glued_chain",
+                         "--dim", "5", "--chain-length", "2",
+                         "--check", "star_lemma", "--mode", "sampled",
+                         "--samples", "3000", "--seed", "5")
+    assert code == 0
+    verdict = rep["verdict"]
+    assert verdict["status"] == "sampled_pass"
+    assert verdict["checked"] == 3000
+    assert verdict["detail"]["linked"] == 3000
+    assert verdict["detail"]["refused"] == 0
+
+
 def test_construct_polytope_spec(tmp_path, capsys):
     prob = {
         "graph": {"kind": "glued_chain", "dim": 5, "chain_length": 2},
@@ -239,11 +273,37 @@ def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
         code, _, err = run(capsys, "verify", "--kind", "cube", "--dim", "3",
                            "--check", "k_linked", "--k", "2", "--jobs", jobs)
         assert code == 2 and "--jobs" in err
-    for graph in ([[1, 9], [0]], [[1, -1], [0]], [5, [0]], [[1], [2], []]):
+    for graph in ([[1, 9], [0]], [[1, -1], [0]], [5, [0]], [[1], [2], []],
+                  [[1.5], [0]], [[True], [0]], [[[1]], [0]]):
         f = tmp_path / "bad.json"
         f.write_text(json.dumps({"graph": graph, "pairs": [[0, 1]]}))
         code, _, err = run(capsys, "construct", "--instance", str(f))
         assert code == 2 and "vertex" in err
+    cube5 = {"kind": "cube", "dim": 5}
+    trio = [[0, 31], [14, 7], [11, 13]]
+    for prob in ({"graph": cube5, "pairs": trio, "forbidden": 5},
+                 {"graph": cube5, "pairs": trio, "forbidden": [[1]]},
+                 {"graph": cube5, "pairs": trio, "forbidden": [2.0]},
+                 {"graph": {"kind": "cube", "dim": "x"}, "pairs": trio},
+                 {"graph": {"kind": "cube", "dim": 5.0}, "pairs": trio},
+                 {"graph": {"kind": "cube", "dim": True}, "pairs": trio},
+                 {"graph": {"kind": 5, "dim": 5}, "pairs": trio},
+                 {"graph": {"kind": "glued_chain", "dim": 5,
+                            "chain_length": [2]}, "pairs": trio},
+                 {"graph": {"kind": "star_of_vertex", "dim": 5},
+                  "pairs": [[7, 26], [0, 17], [25, 13]], "forbidden": [1]},
+                 {"graph": [[1], [0]], "pairs": [[0.7, 1]]},
+                 {"graph": [[1], [0]], "pairs": [[False, 1]]},
+                 {"graph": [[1], [0]], "pairs": [[[0], 1]]},
+                 {"graph": [[1], [0]], "pairs": [[0, 1, 1]]},
+                 {"graph": [[1], [0]], "pairs": {"0": 1}},
+                 {"graph": {"kind": "from_file", "path": "/nonexistent"},
+                  "pairs": [[0, 1]]},
+                 [[0, 1]]):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(prob))
+        code, out, err = run(capsys, "construct", "--instance", str(f))
+        assert code == 2 and out == "" and err.startswith("error: ")
     edge = [[[0], [1]], [[0, 1]]]
     for bad in ({"d": 1, "vertices": [0, 1], "faces": [[["a"], [1]], [[0, 1]]]},
                 {"d": 1, "vertices": [0, 1], "faces": [[0, 1], [[0, 1]]]},
@@ -376,3 +436,84 @@ def test_jobs_flag_parallel_verify(capsys):
         assert reports[0] == reports[1]
         if "k_linked" not in argv:
             assert reports[0]["verdict"]["detail"]["branches"]
+
+
+_JUNK = (hst.none() | hst.booleans() | hst.floats(allow_nan=False)
+         | hst.text(max_size=3) | hst.integers(-2, 70)
+         | hst.lists(hst.integers(0, 3), max_size=2))
+
+
+def _nodes(x, out):
+    # every (container, key) slot of a json value, depth first
+    items = x.items() if isinstance(x, dict) else (
+        enumerate(x) if isinstance(x, list) else ())
+    for key, value in items:
+        out.append((x, key))
+        _nodes(value, out)
+    return out
+
+
+@hst.composite
+def _problem_file(draw):
+    """A well-formed construct problem (adjacency list or instance spec,
+    pairs, forbidden vertices), then up to two slots replaced by junk or
+    dropped."""
+    kind = draw(hst.sampled_from(["adjacency", "cube", "glued_chain",
+                                  "star_of_vertex"]))
+    if kind == "adjacency":
+        n = draw(hst.integers(1, 9))
+        edges = draw(hst.sets(hst.tuples(hst.integers(0, n - 1),
+                                         hst.integers(0, n - 1))))
+        nbrs = [set() for _ in range(n)]
+        for a, b in edges:
+            if a != b:
+                nbrs[a].add(b)
+                nbrs[b].add(a)
+        graph = [sorted(s) for s in nbrs]
+        k = draw(hst.integers(0, 4))
+        skip = draw(hst.integers(0, 2))
+    else:
+        d = draw(hst.integers(2, 6))
+        graph = {"kind": kind, "dim": d}
+        length = draw(hst.sampled_from([0, 2, 3] if kind != "cube" else [0]))
+        if length:
+            graph["chain_length"] = length
+        n = (length + 1) << (d - 1) if length else 1 << d
+        # mostly the shape the router takes: the paper's k, one avoided
+        # vertex in even dimension, the star's centre among the terminals
+        k = draw(hst.sampled_from([(d + 1) // 2] * 3 + [1, 4]))
+        skip = draw(hst.sampled_from([1 - d % 2] * 3 + [0, 1, 2]))
+    ids = draw(hst.lists(hst.integers(0, n - 1), unique=True,
+                         min_size=min(n, 2), max_size=min(n, 10)))
+    if kind == "star_of_vertex":
+        centre = 1 << (d - 1) if length else 0
+        ids = [centre] + [v for v in ids if v != centre]
+        ids.insert(draw(hst.integers(0, len(ids) - 1)), ids.pop(0))
+    k = min(k, len(ids) // 2)
+    prob = {"graph": graph,
+            "pairs": [ids[2 * i:2 * i + 2] for i in range(k)],
+            "forbidden": ids[2 * k:2 * k + skip]}
+    for _ in range(draw(hst.integers(0, 2))):
+        slots = _nodes(prob, [])
+        box, key = slots[draw(hst.integers(0, len(slots) - 1))]
+        if isinstance(box, dict) and draw(hst.booleans()):
+            del box[key]
+        else:
+            box[key] = draw(_JUNK)
+    return prob
+
+
+@settings(max_examples=500, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_problem_file() | _JUNK)
+def test_construct_problem_file_fuzz(tmp_path, capsys, prob):
+    # any exception escaping main would be a traceback on the command line
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(prob))
+    code, out, err = run(capsys, "construct", "--instance", str(f))
+    assert code in (0, 1, 2), err
+    if code == 2:
+        assert out == "" and err.startswith("error: ")
+    else:
+        want = ("linked",) if code == 0 else ("unlinked", "refused")
+        assert json.loads(out)["status"] in want

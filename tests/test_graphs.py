@@ -1,9 +1,15 @@
 """Graph toolkit behaviour: masks, paths, flow-based connectivity."""
 
+import hashlib
+import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from conftest import brute_min_vertex_cut, has_set_path, random_graph
 from cubelink.cube import cube_graph
 from cubelink.graphs import (Graph, bfs_distances, bits, components,
                              connected_within, disjoint_paths,
@@ -142,3 +148,82 @@ def test_local_connectivity_separated_sets():
 def test_disconnected_graph_connectivity_zero():
     g = graph_from_edges(4, [(0, 1), (2, 3)])
     assert vertex_connectivity(g) == 0
+
+
+@hst.composite
+def _flow_case(draw):
+    n = draw(hst.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [e for e, on in zip(pairs, draw(hst.lists(
+        hst.booleans(), min_size=len(pairs), max_size=len(pairs)))) if on]
+    g = graph_from_edges(n, edges)
+    ids = hst.lists(hst.integers(0, n - 1), max_size=n)
+    need = draw(hst.none() | hst.integers(0, n + 1))
+    return g, draw(ids), draw(ids), need
+
+
+def _check_fan(g, a, b, count, paths):
+    assert count == len(paths)
+    used = set()
+    for p in paths:
+        assert p[0] in a and p[-1] in b
+        assert len(set(p)) == len(p) and not used & set(p)
+        used |= set(p)
+        for u, v in zip(p, p[1:]):
+            assert g.has_edge(u, v)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_flow_case())
+def test_disjoint_paths_match_brute_min_separator(case):
+    g, a, b, need = case
+    count, paths = disjoint_paths(g, a, b, need=need)
+    _check_fan(g, set(a), set(b), count, paths)
+    best = brute_min_vertex_cut(g, a, b)
+    assert count == (best if need is None else min(need, best))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_flow_case(), hst.integers(0, 10 ** 6))
+def test_local_connectivity_matches_brute_separator(case, pick):
+    g = case[0]
+    apart = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+             if not g.has_edge(u, v)]
+    if not apart:
+        return
+    u, v = apart[pick % len(apart)]
+    inner = [w for w in range(g.n) if w not in (u, v)]
+    best = next(size for size in range(len(inner) + 1)
+                for cut in itertools.combinations(inner, size)
+                if not has_set_path(g, 1 << u, 1 << v, mask_of(cut)))
+    assert local_connectivity(g, u, v) == best
+
+
+def _pinned_flow_cases():
+    """2,400 seeded disjoint_paths calls: random graphs on 2-30 vertices
+    and Q_3-Q_6, random terminal sets, with and without `need`."""
+    rng = random.Random(20201)
+    for i in range(2400):
+        if i % 6 == 0:
+            g = cube_graph(3 + (i // 6) % 4)
+        else:
+            g = random_graph(rng, rng.randrange(2, 31), rng.random())
+        a = rng.sample(range(g.n), rng.randrange(1, min(g.n, 9) + 1))
+        b = rng.sample(range(g.n), rng.randrange(1, min(g.n, 9) + 1))
+        need = None if rng.random() < 0.5 else rng.randrange(0, 8)
+        yield g, a, b, need
+
+
+def _flow_digest() -> str:
+    h = hashlib.sha256()
+    for g, a, b, need in _pinned_flow_cases():
+        h.update(json.dumps(disjoint_paths(g, a, b, need=need)).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_disjoint_paths_output_pinned():
+    # recorded with the explicit node-split network (one edge list per
+    # split node, built ascending) that the implicit residual replaced
+    assert _flow_digest() == (
+        "4f4370c7c5b5a2a298c0b75f5f1a29c6b9fe74c7924e1eecad5890d942b94041")
