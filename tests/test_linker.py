@@ -1,11 +1,16 @@
+import ast
 import hashlib
+import inspect
 import pickle
 import random
+import re
+from pathlib import Path
 
 import pytest
 
 import cubelink.linker as linker
 from conftest import naive_linked
+from cubelink.complexes import PolytopalComplex, vertex_star
 from cubelink.cube import cube_graph, faces_of_dim
 from cubelink.generators import (
     InstanceSpec,
@@ -322,18 +327,20 @@ def test_even_campaign_sampled(counter):
     assert counter.get("even.rescue", 0) > 0
 
 
-def _routing_digest(route, runs) -> str:
-    """sha256 over the paths of every routing and the branch counts."""
+def _routing_digest(route, runs) -> tuple[str, dict]:
+    """sha256 over the paths of every routing (a star refusal hashes as
+    itself) and the branch counts, with the counts."""
     saved = linker.BRANCH_COUNTER
-    linker.BRANCH_COUNTER = {}
+    linker.BRANCH_COUNTER = counts = {}
     try:
         h = hashlib.sha256()
         for args in runs:
-            h.update(repr(route(*args).paths).encode())
-        h.update(repr(sorted(linker.BRANCH_COUNTER.items())).encode())
+            res = route(*args)
+            h.update(repr(getattr(res, "paths", res)).encode())
+        h.update(repr(sorted(counts.items())).encode())
     finally:
         linker.BRANCH_COUNTER = saved
-    return h.hexdigest()
+    return h.hexdigest(), counts
 
 
 def _polytope_runs(c, n, seed):
@@ -356,19 +363,136 @@ def _even_runs(c, n, seed):
         yield c, chosen, prs[rng.randrange(len(prs))], chosen[0]
 
 
-# Pinned digests of the routings below.  A fresh complex (cold lattice
-# caches) and a reused one (warm caches) must both reproduce them, so any
-# change to a path or a branch count fails here.
+def _star_route(st, pairs):
+    return link_in_star(StarProblem(st, pairs[0][0], pairs))
+
+
+def _star_runs(vs, n, seed):
+    # the criterion-7 generator
+    others = sorted(v for v in vs.complex.vertex_ids if v != vs.center)
+    rng = random.Random(seed)
+    for _ in range(n):
+        chosen = rng.sample(others, 5)
+        prs = list(pairings(tuple(chosen[1:])))
+        yield vs.complex, ((vs.center, chosen[0]),) + \
+            prs[rng.randrange(len(prs))]
+
+
+# Star problems that reach the rarer fallbacks of the d = 5 cases, found by
+# enumerating the packed star instances and sampling the one-out ones.
+RARE_Q5_STAR = [
+    ((0, 21), (13, 25), (29, 18)),   # one_out.antipodal on a packed ridge
+    ((0, 1), (2, 4), (6, 10)),       # low.pair_far with no hop
+    ((0, 3), (1, 2), (4, 9)),        # low.pair_near keeping the centre pair
+    ((0, 3), (1, 15), (5, 9)),       # low.split through the antistar
+    ((0, 9), (1, 15), (3, 5)),       # the same with a two-step walk
+    ((0, 15), (4, 7), (5, 6)),       # low.antipode with the far pairs swapped
+    ((0, 15), (7, 11), (13, 14)),    # refused
+]
+RARE_G5_STAR = [
+    ((16, 1), (0, 17), (4, 5)),      # low.all_near on its second try
+]
+
+
+def _q5_star_runs():
+    vs = star_instance(cube_boundary(5), 0)
+    for pairs in [p for p, _ in PACKED_FIRST_HITS] + RARE_Q5_STAR:
+        yield vs.complex, pairs
+    yield from _star_runs(vs, 1500, 31)
+
+
+def _g5_star_runs():
+    vs = build_star(InstanceSpec("star_of_vertex", dim=5, chain_length=2))
+    for pairs in RARE_G5_STAR:
+        yield vs.complex, pairs
+    yield from _star_runs(vs, 1000, 32)
+
+
+def _q7_star():
+    # cube_boundary stops at d = 6, so build the 7-cube from its faces
+    levels = [[tuple(sorted(f.vertices())) for f in faces_of_dim(7, j)]
+              for j in range(7)]
+    return vertex_star(PolytopalComplex(range(128), levels, check=False), 0)
+
+
+def _packed_runs(st, n, seed):
+    # all eight terminals inside the facet x6 = 0 of the star of 0, so the
+    # heavy facet is packed and the d >= 7 cases run; every other instance
+    # pairs the centre with its antipode 63 in that facet
+    rng = random.Random(seed)
+    for r in range(n):
+        chosen = ([63] + rng.sample(range(1, 63), 6) if r % 2
+                  else rng.sample(range(1, 64), 7))
+        prs = list(pairings(tuple(chosen[1:])))
+        yield st, ((0, chosen[0]),) + prs[rng.randrange(len(prs))]
+
+
+def _rescue_runs():
+    for c, pairs, avoid in EVEN_RESCUES:
+        yield c, [v for pr in pairs for v in pr] + [avoid], pairs, avoid
+
+
+def _blocked_runs():
+    for pairs in SWAP_INSTANCES:
+        yield G5, [v for pr in pairs for v in pr], pairs
+    pairs = ((0, 15), (7, 11), (13, 14))
+    for c in (Q5, G5):
+        yield c, [v for pr in pairs for v in pr], pairs
+
+
+# Pinned digests of the routings below.  Each set runs twice on the same
+# complexes, so cold lattice caches (most sets build fresh complexes) and
+# warm ones must both reproduce them; any change to a path, a refusal or a
+# branch count fails here.
 POLYTOPE_DIGEST = "b7a253bf2de6a18a017a0eefcd102a0e47dec2b6c7111870c8e0c2348aed0175"
 EVEN_DIGEST = "f4313d5a1938d4d438d4929851649d37512e8daea103199b9d955c630e6b3209"
+Q5_STAR_DIGEST = "cbe2946b75b6a0f5a14944dba660e428de9f5e7983ba8b6622fccdf980dc86d8"
+G5_STAR_DIGEST = "bb1777ddfcf81d0e16344446dd38ade5effc13c529e54719943d30dbd7428d9a"
+Q7_PACKED_DIGEST = "5bd3d50e71b9774d124e0918f078fa5fb9b17cac3cb6b73eb08fc6b146e5a2e1"
+BLOCKED_DIGEST = "7bba77078534fe6ddfde8f3934d142ea6a9d87fe6c4ac66260293f617dd9aff7"
+RESCUE_DIGEST = "132465e320ef8544beecdc206efb689319d3c55613948a282c08f9267fcac8ab"
+
+
+def _pinned_routings():
+    """(name, route, runs factory on a fresh complex, digest)."""
+    return [
+        ("polytope", link_in_polytope,
+         lambda: _polytope_runs(glued_cubes(5, 2), 300, 8), POLYTOPE_DIGEST),
+        ("even", strong_link_even,
+         lambda: _even_runs(glued_cubes(4, 2), 300, 9), EVEN_DIGEST),
+        ("q5_star", _star_route, _q5_star_runs, Q5_STAR_DIGEST),
+        ("g5_star", _star_route, _g5_star_runs, G5_STAR_DIGEST),
+        ("q7_packed", _star_route, lambda: _packed_runs(_q7_star(), 2000, 33),
+         Q7_PACKED_DIGEST),
+        ("blocked", link_in_polytope, _blocked_runs, BLOCKED_DIGEST),
+        ("rescue", strong_link_even, _rescue_runs, RESCUE_DIGEST),
+    ]
+
+
+def _marked_ids() -> set[str]:
+    return set(re.findall(r'_mark\("([^"]+)"\)', inspect.getsource(linker)))
 
 
 def test_routing_output_pinned_cold_and_warm():
-    g5 = glued_cubes(5, 2)
-    for _ in range(2):
-        assert _routing_digest(link_in_polytope,
-                               _polytope_runs(g5, 300, 8)) == POLYTOPE_DIGEST
-    g4 = glued_cubes(4, 2)
-    for _ in range(2):
-        assert _routing_digest(strong_link_even,
-                               _even_runs(g4, 300, 9)) == EVEN_DIGEST
+    seen = set()
+    for name, route, runs, digest in _pinned_routings():
+        first = list(runs())
+        for args in (first, first):     # cold, then warm lattice caches
+            got, counts = _routing_digest(route, args)
+            assert got == digest, name
+        seen |= set(counts)
+    # every branch of the router is pinned, the d = 7 cases included
+    assert len(_marked_ids()) == 21
+    assert seen == _marked_ids()
+
+
+def test_benchmark_lists_every_odd_dimension_branch():
+    # perfbench/worker.py counts only the branches it lists in BRANCHES and
+    # lumps every other id into linker.branch.other
+    src = (Path(__file__).parents[1] / "perfbench" / "worker.py").read_text()
+    listed = next(ast.literal_eval(node.value)
+                  for node in ast.parse(src).body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["BRANCHES"])
+    odd = {b for b in _marked_ids() if not b.startswith("even.")}
+    assert odd <= set(listed)
