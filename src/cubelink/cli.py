@@ -436,6 +436,8 @@ def _check_link_construct(args, spec: InstanceSpec) -> dict:
 def _cmd_verify(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {args.samples}")
     spec = _spec_from_args(args)
     if args.check == "k_linked":
         verdict = _check_linked(args, spec, strong=False)
@@ -511,6 +513,10 @@ def _cmd_construct(args) -> int:
     if not isinstance(raw, list):
         raise UsageError('"forbidden" must be a list of vertex ids')
     forbidden = [_vertex_id(v, "forbidden vertex") for v in raw]
+    clash = sorted(set(forbidden) & {v for p in pairs for v in p})
+    if clash:
+        raise UsageError(f'"forbidden" vertex {clash[0]} is also a terminal '
+                         f'in "pairs"')
     gspec = prob.get("graph")
     t0 = time.perf_counter()
     import cubelink.linker as _linker
@@ -535,7 +541,7 @@ def _construct_route(args, gspec, pairs, forbidden):
     paths = None
     refusal = None
     if isinstance(gspec, dict):
-        allowed = {"kind", "dim", "chain_length", "seed", "path"}
+        allowed = {"kind", "dim", "chain_length", "path"}
         extra = set(gspec) - allowed
         if extra:
             raise UsageError(f"unknown instance keys {sorted(extra)}")

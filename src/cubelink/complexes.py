@@ -82,7 +82,6 @@ class PolytopalComplex:
             [None] * len(self.faces)
         self._graph: Optional[Graph] = None
         self._charts: dict[FaceHandle, "FacetChart"] = {}
-        self._label_ids: Optional[dict] = None
         # memoized lattice queries, keyed by query name and argument
         self._memo: dict = {}
 
@@ -199,11 +198,6 @@ class PolytopalComplex:
             raise ComplexError(f"vertex {v} not in complex")
         return h
 
-    def id_of_label(self, label) -> int:
-        if self._label_ids is None:
-            self._label_ids = {lab: i for i, lab in enumerate(self.labels)}
-        return self._label_ids[label]
-
     def graph(self) -> Graph:
         if self._graph is None:
             self._graph = graph_from_edges(
@@ -225,22 +219,10 @@ class PolytopalComplex:
 
     # -- containment queries ------------------------------------------------
 
-    def subfaces(self, h: FaceHandle, j: int) -> list[FaceHandle]:
-        """j-faces of the complex contained in h, ascending index."""
-        big = set(self.face_vertices(h))
-        out = []
-        for i, f in enumerate(self.faces[j]):
-            if set(f) <= big:
-                out.append(FaceHandle(j, i))
-        return out
-
     def superfaces(self, h: FaceHandle, j: int) -> list[FaceHandle]:
         """j-faces of the complex containing h, ascending index."""
         return [FaceHandle(j, i)
                 for i in bits(self._holding(self.face_vertices(h), j))]
-
-    def facets_containing(self, h: FaceHandle) -> list[FaceHandle]:
-        return self.superfaces(h, self.dim)
 
     # -- full validation (loader, generators) -------------------------------
 
@@ -627,13 +609,6 @@ class FacetChart:
 
     def opposite_vertex(self, vid: int) -> int:
         return self._vid[self.bits_of(vid) ^ ((1 << self.m) - 1)]
-
-    def opposite_face(self, h: FaceHandle) -> FaceHandle:
-        """Opposite face within this chart (free coordinates kept, fixed
-        values all flipped)."""
-        cf = self.cube_face_of(h)
-        return self.handle_of_cube_face(
-            CubeFace(cf.d, cf.fixed_mask, cf.fixed_mask ^ cf.fixed_values))
 
     def ridge(self, coord: int, side: int) -> FaceHandle:
         if not 0 <= coord < self.m:

@@ -104,9 +104,6 @@ class OppositeFacetPair(NamedTuple):
             raise ValueError("side must be 0 or 1")
         return CubeFace(self.d, 1 << self.coord, side << self.coord)
 
-    def side_of(self, v: int) -> int:
-        return (v >> self.coord) & 1
-
     def validate(self) -> "OppositeFacetPair":
         _check_dim(self.d)
         if not 0 <= self.coord < self.d:

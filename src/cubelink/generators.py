@@ -84,7 +84,6 @@ class InstanceSpec:
     kind: str
     dim: int = 0
     chain_length: int = 0
-    seed: int = 0
     path: Optional[str] = None
 
     KINDS = ("cube", "glued_chain", "star_of_vertex", "from_file")

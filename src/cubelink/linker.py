@@ -16,6 +16,17 @@ a `ConfigDFRefusal` value instead of a linkage.  On a full polytope the
 router escapes the pattern by re-routing one terminal walk and never
 refuses.
 
+The star router's cases are written in a few shared moves of
+`_StarRouter`: `detour` (a facet pair joined through its antistar hooks),
+`carry` (a walk continued through one hook into the antistar), `around`
+(the centre pair detoured beside the facet linkage, rerouting the pair
+that swallowed its end), `hops` and `land` (walks of length at most 2 to a
+parallel face, finished at the mate), `free_neighbour`, and `link_tails` /
+`finish` (a linkage closed over fan tails, as `_close` does for the
+polytope fans, which re-enter the star through `_close_in_star`).  Every
+branch, the d = 7 packed cases included, is pinned by sha256 digests of its
+paths and branch counts in the test suite.
+
 Every public entry point re-validates its output before returning, and any
 violated internal invariant raises `ProofStepError` with a short step id
 instead of silently producing a bad linkage.
@@ -96,23 +107,34 @@ def _orient(path, start: int) -> list[int]:
     raise ProofStepError("orient", f"path misses endpoint {start}")
 
 
-def _solve(step: str, g: Graph, pairs, forbidden=()) -> list[list[int]]:
-    """Oracle linkage, oriented to run source -> target, or ProofStepError."""
-    prob = LinkageProblem(g, tuple(tuple(p) for p in pairs),
-                          frozenset(forbidden))
-    got = solve_linkage(prob)
-    _need(got is not None, step, "required linkage does not exist")
-    return [_orient(q, s) for q, (s, _) in zip(got.paths, pairs)]
-
-
 def _attempt(g: Graph, pairs, forbidden=()) -> Optional[list[list[int]]]:
-    """Like _solve but returns None quietly when no linkage exists."""
+    """Oracle linkage, oriented to run source -> target, or None."""
     prob = LinkageProblem(g, tuple(tuple(p) for p in pairs),
                           frozenset(forbidden))
     got = solve_linkage(prob)
     if got is None:
         return None
     return [_orient(q, s) for q, (s, _) in zip(got.paths, pairs)]
+
+
+def _solve(step: str, g: Graph, pairs, forbidden=()) -> list[list[int]]:
+    """Like _attempt, but a missing linkage is a ProofStepError."""
+    got = _attempt(g, pairs, forbidden)
+    _need(got is not None, step, "required linkage does not exist")
+    return got
+
+
+def _close(tail: dict, pairs, inner) -> list[list[int]]:
+    """Each pair (s, t, ...) closed over its inner path: s's fan tail in,
+    t's tail back out.  A terminal without a tail stands for itself."""
+    return [_join(tail.get(s, (s,)), q, reversed(tail.get(t, (t,))))
+            for (s, t, *_), q in zip(pairs, inner)]
+
+
+def _from_side(job, mask: int):
+    """Job (s, t, i) turned so that its end on the face `mask` comes first."""
+    s, t, i = job
+    return job if (mask >> s) & 1 else (t, s, i)
 
 
 # -- problem and report types --------------------------------------------------
@@ -277,7 +299,7 @@ class _StarRouter:
         self.a1mask = self.c.vertex_mask & ~self.f1mask
         self.inj = injection_into_antistar(self.c, self.f1, self.s1)
 
-    # ---- shared small steps
+    # ---- shared moves
 
     def jobs(self) -> list[tuple[int, int, int]]:
         return [(s, t, i) for i, (s, t) in enumerate(self.pairs)]
@@ -291,17 +313,88 @@ class _StarRouter:
         _need(path is not None, step, f"no path {u}->{v} in region")
         return path
 
-    def a1_path(self, step, u, v) -> list[int]:
-        return self.region_path(step, self.a1mask, u, v)
-
     def solve_in(self, step, region_mask, prs, forbidden=()):
-        return _solve(step, self.sg.restrict(region_mask), prs, forbidden)
+        """Oracle linkage of (s, t) pairs or (s, t, i) jobs in a region."""
+        return _solve(step, self.sg.restrict(region_mask),
+                      [(s, t) for s, t, *_ in prs], forbidden)
+
+    def finish(self, out, jobs, inner, tail=None) -> list[list[int]]:
+        """out[i] for each job (s, t, i): its inner path closed over the
+        tails of s and t."""
+        for (_, _, i), q in zip(jobs, _close(tail or {}, jobs, inner)):
+            out[i] = q
+        return out
+
+    def link_tails(self, out, step, region_mask, tail, forbidden=()):
+        """Link the tail ends of every pair but the centre's inside the
+        region and close the pairs over their tails."""
+        rest = self.jobs()[1:]
+        ends = [(tail[s][-1], tail[t][-1]) for s, t, _ in rest]
+        linked = self.solve_in(step, region_mask, ends, forbidden)
+        return self.finish(out, rest, linked, tail)
 
     def hook(self, v: int, step: str) -> int:
         """Antistar neighbour assigned to facet vertex v."""
         img = self.inj.get(v)
         _need(img is not None, step, f"no antistar hook at {v}")
         return img
+
+    def carry(self, hook_step, carry_step, walk, to) -> list[int]:
+        """`walk` continued from its last (heavy facet) vertex through that
+        vertex's hook and across the antistar to `to`."""
+        hop = self.hook(walk[-1], hook_step)
+        return walk + self.region_path(carry_step, self.a1mask, hop, to)
+
+    def detour(self, hook_step, carry_step, u, v) -> list[int]:
+        """Facet vertices u and v joined through their hooks across the
+        antistar."""
+        return self.carry(hook_step, carry_step, [u],
+                          self.hook(v, hook_step)) + [v]
+
+    def around(self, end, jobs, linked, detour_steps, reroute_steps):
+        """The centre path from s1 to facet vertex `end` through the
+        antistar, beside the facet paths `linked` of `jobs`.  If one of
+        those swallowed `end`, that pair is rerouted through the antistar
+        along with the centre pair (its entry of `linked` is replaced);
+        reroute_steps[j] names the hook and linkage steps for job j."""
+        j = next((j for j, q in enumerate(linked) if end in q), None)
+        if j is None:
+            return self.detour(*detour_steps, self.s1, end)
+        hook_step, step = reroute_steps[j]
+        s, t, _ = jobs[j]
+        ends = [self.hook(v, hook_step) for v in (self.s1, end, s, t)]
+        two = self.solve_in(step, self.a1mask, [ends[:2], ends[2:]])
+        linked[j] = [s] + two[1] + [t]
+        return [self.s1] + two[0] + [end]
+
+    def hops(self, src, face_mask, push, banned):
+        """Walks of length <= 2 off the face `face_mask`, shortest first:
+        src pushed across, or one step along the face and then pushed;
+        no vertex after src in `banned`."""
+        p = push(src)
+        if p not in banned:
+            yield [src, p]
+        for u in sorted(bits(self.sg.adj[src] & face_mask)):
+            if u not in banned and push(u) not in banned:
+                yield [src, u, push(u)]
+
+    def land(self, step, walk, t, region_mask, avoid) -> list[int]:
+        """`walk` finished at t inside the region (if not already there)."""
+        return _join(walk, self.region_path(step, region_mask, walk[-1], t,
+                                            avoid=avoid))
+
+    def free_neighbour(self, step, why, v, region_mask) -> int:
+        """Least unmarked neighbour of v in the region."""
+        w = next((w for w in sorted(bits(self.sg.adj[v] & region_mask))
+                  if w not in self.x), None)
+        _need(w is not None, step, why)
+        return w
+
+    def partner(self, v):
+        """Index of the pair holding terminal v, and v's mate."""
+        i = next(i for i, pr in enumerate(self.pairs) if v in pr)
+        s, t = self.pairs[i]
+        return i, (t if s == v else s)
 
     def run(self) -> list[list[int]]:
         m = len(self.x & set(self.c.face_vertices(self.f1)))
@@ -318,27 +411,18 @@ class _StarRouter:
     def route_one_out(self) -> list[list[int]]:
         _mark("star.one_out")
         out: list = [None] * self.k
-        outside = next(v for v in sorted(self.x)
-                       if (self.a1mask >> v) & 1)
-        oi = next(i for i, (s, t) in enumerate(self.pairs)
-                  if outside in (s, t))
-        so, to = self.pairs[oi]
-        if so == outside:
-            so, to = to, so
+        to = next(v for v in sorted(self.x) if (self.a1mask >> v) & 1)
+        oi, so = self.partner(to)
         rest = [j for j in self.jobs()[1:] if j[2] != oi]
-        s1, t1 = self.s1, self.t1
-        if so != self.ch1.opposite_vertex(s1):
+        if so != self.ch1.opposite_vertex(self.s1):
             # near mate: link everyone else inside the facet, walk the
             # stray terminal home through the antistar
-            prs = [(s1, t1)] + [(s, t) for s, t, _ in rest]
-            linked = self.solve_in("star.one-out.facet", self.f1mask, prs,
+            near = self.jobs()[:1] + rest
+            linked = self.solve_in("star.one-out.facet", self.f1mask, near,
                                    forbidden={so})
-            out[0] = linked[0]
-            for (s, t, i), q in zip(rest, linked[1:]):
-                out[i] = q
-            hop = self.hook(so, "star.one-out.hook")
-            out[oi] = _join([so, hop],
-                            self.a1_path("star.one-out.carry", hop, to))
+            self.finish(out, near, linked)
+            out[oi] = self.carry("star.one-out.hook", "star.one-out.carry",
+                                 [so], to)
             return out
         return self._one_out_antipodal(out, oi, so, to, rest)
 
@@ -366,42 +450,31 @@ class _StarRouter:
                       for v in (s, t)),
                   "star.one-out.packed-side",
                   "small pairs expected beside the mate")
-            prs = [(s, t) for s, t, _ in rest]
-            if prs:
-                linked = self.solve_in("star.one-out.packed", rmask, prs,
+            if rest:
+                linked = self.solve_in("star.one-out.packed", rmask, rest,
                                        forbidden={so, t1})
-                for (s, t, i), q in zip(rest, linked):
-                    out[i] = q
+                self.finish(out, rest, linked)
             step_over = ch.project(so, cc, 1 - side)
             _need(step_over not in self.x, "star.one-out.step",
                   "split coordinate is not free")
-            hop = self.hook(step_over, "star.one-out.hook2")
-            out[oi] = _join([so, step_over, hop],
-                            self.a1_path("star.one-out.carry2", hop, to))
+            out[oi] = self.carry("star.one-out.hook2", "star.one-out.carry2",
+                                 [so, step_over], to)
             back = ch.project(t1, cc, 1 - side)
             out[0] = _join(self.region_path("star.one-out.centre", omask,
                                             s1, back, avoid={step_over}),
                            [t1])
             return out
-        sbar = stray[0]
-        hop = self.hook(sbar, "star.one-out.hook3")
-        out[oi] = _join([so, sbar, hop],
-                        self.a1_path("star.one-out.carry3", hop, to))
-        shadow = {}
-        for v in self.x:
-            if v in (so, to):
-                continue
-            shadow[v] = ch.project(v, cc, 1 - side)
+        out[oi] = self.carry("star.one-out.hook3", "star.one-out.carry3",
+                             [so, stray[0]], to)
+        shadow = {v: ch.project(v, cc, 1 - side) for v in self.x
+                  if v not in (so, to)}
         _need(len(set(shadow.values())) == self.d - 1,
               "star.one-out.collide", "terminal shadows collide")
-        prs = [(shadow[s1], shadow[t1])] + [(shadow[s], shadow[t])
-                                            for s, t, _ in rest]
-        got = _attempt(self.sg.restrict(omask), prs)
+        near = self.jobs()[:1] + rest
+        got = _attempt(self.sg.restrict(omask),
+                       [(shadow[s], shadow[t]) for s, t, _ in near])
         if got is not None:
-            out[0] = _join([s1], got[0], [t1])
-            for (s, t, i), q in zip(rest, got[1:]):
-                out[i] = _join([s], q, [t])
-            return out
+            return self.finish(out, near, got)
         _need(self.d == 5, "star.one-out.far-linkage",
               "ridge linkage must exist above dimension 5")
         # 3-cube leftovers can sit in a blocking cycle; route the small
@@ -412,9 +485,8 @@ class _StarRouter:
         _need(good, "star.one-out.swap-door",
               "no clean door beside the blocked mate")
         sbar = good[0]
-        hop = self.hook(sbar, "star.one-out.hook4")
-        out[oi] = _join([so, sbar, hop],
-                        self.a1_path("star.one-out.carry4", hop, to))
+        out[oi] = self.carry("star.one-out.hook4", "star.one-out.carry4",
+                             [so, sbar], to)
         block = {so, sbar} | ({t1} if (rmask >> t1) & 1 else set())
         q3 = self.region_path("star.one-out.swap-near", rmask, p3s, p3t,
                               avoid=block)
@@ -474,7 +546,6 @@ class _StarRouter:
                       "antipodal door unavailable")
                 doors = [anti] + [v for v in avail if v != anti]
                 doors = doors[:len(outside)]
-        entry: dict[int, int] = {}
         tail: dict[int, list[int]] = {}
         if outside:
             keys = [self.hook(v, "star.spread.hook") for v in doors]
@@ -483,28 +554,21 @@ class _StarRouter:
                                sorted(set(keys)), len(outside))
             _need(got is not None, "star.spread.carry",
                   "no disjoint walks to the doors")
-            for q in got:
-                door = door_of[q[-1]]
-                tail[q[0]] = list(q) + [door]
-                entry[q[0]] = door
+            tail.update({q[0]: list(q) + [door_of[q[-1]]] for q in got})
         for v in self.x - {s1, t1}:
-            if v in entry:
+            if v in tail:
                 continue
             if (omask >> v) & 1:
-                tail[v], entry[v] = [v], v
+                tail[v] = [v]
             elif (rmask >> v) & 1:
                 p = ch.project(v, cc, 1 - side)
                 _need(p not in self.x, "star.spread.hop",
                       "split coordinate is not free")
-                tail[v], entry[v] = [v, p], p
-        marks = [entry[v] for v in sorted(entry)]
+                tail[v] = [v, p]
+        marks = [tail[v][-1] for v in sorted(tail)]
         _need(len(set(marks)) == self.d - 1, "star.spread.marks",
               "far ridge entries collide")
-        prs = [(entry[s], entry[t]) for s, t, _ in self.jobs()[1:]]
-        linked = self.solve_in("star.spread.far-linkage", omask, prs)
-        for (s, t, i), q in zip(self.jobs()[1:], linked):
-            out[i] = _join(tail[s], q, list(reversed(tail[t])))
-        return out
+        return self.link_tails(out, "star.spread.far-linkage", omask, tail)
 
     def _spread_far_side(self, cc, side, rhandle, rmask, omask):
         _mark("star.spread.far_side")
@@ -526,7 +590,6 @@ class _StarRouter:
         chn = self.c.chart(nb)
         nc, ns = chn.ridge_coordinate(rhandle)
         landing = self.fmask(chn.ridge(nc, 1 - ns))
-        nbmask = self.fmask(nb)
         outside = sorted(v for v in self.x if (self.a1mask >> v) & 1)
         tail: dict[int, list[int]] = {}
         if outside:
@@ -548,12 +611,8 @@ class _StarRouter:
         marks = [tail[v][-1] for v in sorted(tail)]
         _need(len(set(marks)) == self.d - 1 and s1 not in marks,
               "star.spread.side-marks", "neighbour facet entries collide")
-        prs = [(tail[s][-1], tail[t][-1]) for s, t, _ in self.jobs()[1:]]
-        linked = self.solve_in("star.spread.side-linkage", nbmask, prs,
-                               forbidden={s1})
-        for (s, t, i), q in zip(self.jobs()[1:], linked):
-            out[i] = _join(tail[s], q, list(reversed(tail[t])))
-        return out
+        return self.link_tails(out, "star.spread.side-linkage",
+                               self.fmask(nb), tail, forbidden={s1})
 
     # ---- only the centre pair inside the heavy facet
 
@@ -564,7 +623,6 @@ class _StarRouter:
         s2 = self.pairs[1][0]
         s12 = star(self.c, self.c.vertex_handle(s2))
         g12mask = s12.vertex_mask & ~self.f1mask
-        rest = self.jobs()[1:]
         residents = sorted(v for v in self.x - {s2}
                            if (g12mask >> v) & 1)
         srcs = sorted(v for v in self.x - {s1, t1, s2}
@@ -612,16 +670,11 @@ class _StarRouter:
                        self.region_path("star.pair-only.own", omask,
                                         ch.project(s1, cr, 1 - side), t1))
         if len(s12.facets()) == 1:
-            prs = [(rep[s], rep[t]) for s, t, _ in rest]
-            linked = self.solve_in("star.pair-only.single", f12mask, prs,
-                                   forbidden={s1})
-            for (s, t, i), q in zip(rest, linked):
-                out[i] = _join(tail[s], q, list(reversed(tail[t])))
-            return out
-        return self._pair_only_multi(out, rest, s2, s12, f12, f12mask,
-                                     tail, rep)
+            return self.link_tails(out, "star.pair-only.single", f12mask,
+                                   tail, forbidden={s1})
+        return self._pair_only_multi(out, s2, s12, f12, f12mask, tail, rep)
 
-    def _pair_only_multi(self, out, rest, s2, s12, f12, f12mask, tail, rep):
+    def _pair_only_multi(self, out, s2, s12, f12, f12mask, tail, rep):
         _mark("star.pair_only.multi")
         # walk deep representatives through the rest of the second star and
         # drop them onto the target facet across a shared small face
@@ -666,12 +719,8 @@ class _StarRouter:
                       "star.pair-only.image", "landing image fell back")
                 hop[q[0]] = list(q) + [img]
         full = {v: _join(tail[v], hop[rep[v]]) for v in tail}
-        prs = [(full[s][-1], full[t][-1]) for s, t, _ in rest]
-        linked = self.solve_in("star.pair-only.final", f12mask, prs,
+        return self.link_tails(out, "star.pair-only.final", f12mask, full,
                                forbidden={s1})
-        for (s, t, i), q in zip(rest, linked):
-            out[i] = _join(full[s], q, list(reversed(full[t])))
-        return out
 
     # ---- every terminal inside the heavy facet
 
@@ -683,17 +732,10 @@ class _StarRouter:
                 return self._packed_low_antipode()
             return self._packed_low()
         if s1o == self.t1:
-            return self._packed_high_antipode(s1o)
+            return self._packed_high_antipode()
         if s1o in self.x:
             return self._packed_high_mate(s1o)
         return self._packed_high_free()
-
-    def _reroute_pair(self, step, a, b, cc, dd):
-        """Two disjoint antistar paths joining hook(a)-hook(b), hook(c)-hook(d)."""
-        pa, pb = self.hook(a, step), self.hook(b, step)
-        pc, pd = self.hook(cc, step), self.hook(dd, step)
-        return _solve(step, self.sg.restrict(self.a1mask),
-                      [(pa, pb), (pc, pd)])
 
     def _packed_high_free(self) -> list[list[int]]:
         _mark("star.packed.high.free")
@@ -701,129 +743,57 @@ class _StarRouter:
         # facet, the centre pair detours through the antistar; if the far
         # terminal got swallowed, reroute that one pair outside too
         out: list = [None] * self.k
-        s1, t1 = self.s1, self.t1
         rest = self.jobs()[1:]
-        linked = self.solve_in("star.packed.facet", self.f1mask,
-                               [(s, t) for s, t, _ in rest],
-                               forbidden={s1})
-        swallowed = next(((j, q) for j, q in enumerate(linked)
-                          if t1 in q), None)
-        if swallowed is None:
-            h1, h2 = self.hook(s1, "star.packed.hooks"), \
-                self.hook(t1, "star.packed.hooks")
-            out[0] = _join([s1, h1],
-                           self.a1_path("star.packed.carry", h1, h2), [t1])
-            for (s, t, i), q in zip(rest, linked):
-                out[i] = q
-            return out
-        j, _ = swallowed
-        s, t, i = rest[j]
-        two = self._reroute_pair("star.packed.reroute", s1, t1, s, t)
-        out[0] = _join([s1], two[0], [t1])
-        out[i] = _join([s], two[1], [t])
-        for (ss, tt, ii), q in zip(rest, linked):
-            if ii != i:
-                out[ii] = q
-        return out
+        linked = self.solve_in("star.packed.facet", self.f1mask, rest,
+                               forbidden={self.s1})
+        out[0] = self.around(self.t1, rest, linked,
+                             ("star.packed.hooks", "star.packed.carry"),
+                             [("star.packed.reroute",) * 2] * len(rest))
+        return self.finish(out, rest, linked)
 
     def _packed_high_mate(self, s1o: int) -> list[list[int]]:
         _mark("star.packed.high.mate")
         # centre antipode is some other pair's terminal, d >= 7
         out: list = [None] * self.k
-        s1, t1, ch = self.s1, self.t1, self.ch1
-        oi = next(i for i, (s, t) in enumerate(self.pairs)
-                  if s1o in (s, t))
-        so, to = self.pairs[oi]
-        if so != s1o:
-            so, to = to, so
+        s1, t1 = self.s1, self.t1
+        oi, to = self.partner(s1o)
         rest = [j for j in self.jobs()[1:] if j[2] != oi]
         ring = self.f1mask & ~mask_of([s1, s1o])
-        if self.sg.has_edge(so, to):
-            linked = self.solve_in("star.packed.ring", ring,
-                                   [(s, t) for s, t, _ in rest],
+        if self.sg.has_edge(s1o, to):
+            linked = self.solve_in("star.packed.ring", ring, rest,
                                    forbidden={t1, to})
-            for (s, t, i), q in zip(rest, linked):
-                out[i] = q
-            out[oi] = [so, to]
-            h1, h2 = self.hook(s1, "star.packed.hooks2"), \
-                self.hook(t1, "star.packed.hooks2")
-            out[0] = _join([s1, h1],
-                           self.a1_path("star.packed.carry2", h1, h2), [t1])
-            return out
-        door = next((w for w in sorted(bits(self.sg.adj[so] & self.f1mask))
-                     if w not in self.x), None)
-        _need(door is not None, "star.packed.door",
-              "mate of the antipode has no free facet neighbour")
-        prs = [(door, to)] + [(s, t) for s, t, _ in rest]
-        linked = self.solve_in("star.packed.ring2", ring, prs)
-        swallowed = next(((j, q) for j, q in enumerate(linked)
-                          if t1 in q), None)
-        if swallowed is None:
-            h1, h2 = self.hook(s1, "star.packed.hooks3"), \
-                self.hook(t1, "star.packed.hooks3")
-            out[0] = _join([s1, h1],
-                           self.a1_path("star.packed.carry3", h1, h2), [t1])
-            out[oi] = _join([so], linked[0])
-            for (s, t, i), q in zip(rest, linked[1:]):
-                out[i] = q
-            return out
-        j, _ = swallowed
-        if j == 0:
-            two = self._reroute_pair("star.packed.reroute2", s1, t1,
-                                     door, to)
-            out[0] = _join([s1], two[0], [t1])
-            out[oi] = _join([so, door], two[1], [to])
-            for (s, t, i), q in zip(rest, linked[1:]):
-                out[i] = q
-            return out
-        s, t, i = rest[j - 1]
-        two = self._reroute_pair("star.packed.reroute3", s1, t1, s, t)
-        out[0] = _join([s1], two[0], [t1])
-        out[i] = _join([s], two[1], [t])
-        out[oi] = _join([so], linked[0])
-        for (ss, tt, ii), q in zip(rest, linked[1:]):
-            if ii != i:
-                out[ii] = q
-        return out
+            out[oi] = [s1o, to]
+            out[0] = self.detour("star.packed.hooks2", "star.packed.carry2",
+                                 s1, t1)
+            return self.finish(out, rest, linked)
+        door = self.free_neighbour(
+            "star.packed.door",
+            "mate of the antipode has no free facet neighbour", s1o,
+            self.f1mask)
+        jobs = [(door, to, oi)] + rest
+        linked = self.solve_in("star.packed.ring2", ring, jobs)
+        out[0] = self.around(
+            t1, jobs, linked, ("star.packed.hooks3", "star.packed.carry3"),
+            [("star.packed.reroute2",) * 2]
+            + [("star.packed.reroute3",) * 2] * len(rest))
+        return self.finish(out, jobs, linked, {door: [s1o, door]})
 
-    def _packed_high_antipode(self, s1o: int) -> list[list[int]]:
+    def _packed_high_antipode(self) -> list[list[int]]:
         _mark("star.packed.high.antipode")
         # the centre pair itself is antipodal, d >= 7
         out: list = [None] * self.k
         s1, t1 = self.s1, self.t1
         rest = self.jobs()[1:]
-        door = next((w for w in sorted(bits(self.sg.adj[t1] & self.f1mask))
-                     if w not in self.x), None)
-        _need(door is not None, "star.packed.escape",
-              "blocked pattern slipped past detection")
+        door = self.free_neighbour("star.packed.escape",
+                                   "blocked pattern slipped past detection",
+                                   t1, self.f1mask)
         ring = self.f1mask & ~mask_of([s1, t1])
-        linked = self.solve_in("star.packed.ring3", ring,
-                               [(s, t) for s, t, _ in rest])
-        swallowed = next(((j, q) for j, q in enumerate(linked)
-                          if door in q), None)
-        if swallowed is None:
-            h1 = self.hook(s1, "star.packed.hooks4")
-            h2 = self.hook(door, "star.packed.hooks4")
-            out[0] = _join([s1, h1],
-                           self.a1_path("star.packed.carry4", h1, h2),
-                           [door, t1])
-            for (s, t, i), q in zip(rest, linked):
-                out[i] = q
-            return out
-        j, _ = swallowed
-        s, t, i = rest[j]
-        pa, pb = self.hook(s1, "star.packed.hooks5"), \
-            self.hook(door, "star.packed.hooks5")
-        pc, pd = self.hook(s, "star.packed.hooks5"), \
-            self.hook(t, "star.packed.hooks5")
-        two = _solve("star.packed.reroute4",
-                     self.sg.restrict(self.a1mask), [(pa, pb), (pc, pd)])
-        out[0] = _join([s1], two[0], [door, t1])
-        out[i] = _join([s], two[1], [t])
-        for (ss, tt, ii), q in zip(rest, linked):
-            if ii != i:
-                out[ii] = q
-        return out
+        linked = self.solve_in("star.packed.ring3", ring, rest)
+        out[0] = self.around(door, rest, linked,
+                             ("star.packed.hooks4", "star.packed.carry4"),
+                             [("star.packed.hooks5", "star.packed.reroute4")]
+                             * len(rest)) + [t1]
+        return self.finish(out, rest, linked)
 
     # ---- the packed cases in dimension 5
 
@@ -946,16 +916,13 @@ class _StarRouter:
                                       s1, t1)
             out[pi] = self.region_path("star.packed.low.far0", fmask, ps,
                                        pt, avoid=self.x - {ps, pt})
-            h1 = self.hook(os_, "star.packed.low.hook0")
-            h2 = self.hook(ot, "star.packed.low.hook0")
-            out[oi] = _join([os_, h1],
-                            self.a1_path("star.packed.low.carry0", h1, h2),
-                            [h2, ot])
+            out[oi] = self.detour("star.packed.low.hook0",
+                                  "star.packed.low.carry0", os_, ot)
             return out
         if (rmask >> ot) & 1:
             os_, ot = ot, os_
         # os_ on the near face, ot on the far face; walk ot home first
-        hop = self._far_to_near_hop(ot, os_, fmask, down)
+        hop = next(self.hops(ot, fmask, down, self.x - {ot, os_}), None)
         if hop is not None and hop[-1] == os_:
             out[oi] = list(reversed(hop))
             out[0] = self.region_path("star.packed.low.partner-own",
@@ -966,9 +933,8 @@ class _StarRouter:
                                        {ps, pt})
             return out
         if hop is not None:
-            got = _solve("star.packed.low.partner-pair",
-                         self.sg.restrict(nbmask),
-                         [(s1, t1), (os_, hop[-1])])
+            got = self.solve_in("star.packed.low.partner-pair", nbmask,
+                                [(s1, t1), (os_, hop[-1])])
             out[0] = got[0]
             out[oi] = _join(got[1], list(reversed(hop)))
             out[pi] = self.region_path("star.packed.low.far2", fmask, ps,
@@ -983,124 +949,60 @@ class _StarRouter:
                                    avoid=self.x - {ps, pt})
         _need(ot != s1o, "star.packed.low.antipode",
               "stranded terminal at the antipode")
-        h1 = self.hook(os_, "star.packed.low.hook1")
-        h2 = self.hook(ot, "star.packed.low.hook1")
-        out[oi] = _join([os_, h1],
-                        self.a1_path("star.packed.low.carry1", h1, h2),
-                        [h2, ot])
+        out[oi] = self.detour("star.packed.low.hook1",
+                              "star.packed.low.carry1", os_, ot)
         return out
-
-    def _far_to_near_hop(self, src, mate, fmask, down):
-        """Length <= 2 walk from the far face onto the near face."""
-        banned = self.x - {src, mate}
-        p = down(src)
-        if p not in banned:
-            return [src, p]
-        for u in sorted(bits(self.sg.adj[src] & fmask)):
-            if u in banned:
-                continue
-            q = down(u)
-            if q not in banned:
-                return [src, u, q]
-        return None
 
     def _low_split(self, out, a, b, rmask, fmask, over):
         _mark("star.packed.low.split")
         # both small pairs straddle the two 3-faces
         s1, t1, ch = self.s1, self.t1, self.ch1
         s1o = ch.opposite_vertex(s1)
-        rset = set(bits(rmask))
-
-        def oriented(j):
-            s, t, i = j
-            return (s, t, i) if s in rset else (t, s, i)
-
-        a, b = oriented(a), oriented(b)
+        a, b = _from_side(a, rmask), _from_side(b, rmask)
         # the detouring pair may not end at the antipode, which has no hook
         combos = [(h, f) for h, f in ((b, a), (a, b)) if f[1] != s1o]
-        for hopv, farv in combos:
-            hs, ht, hi = hopv
-            fs, ft, fi = farv
-            for hop in self._hop_candidates(hs, ht, rmask, over):
+        for (hs, ht, hi), (fs, ft, fi) in combos:
+            for hop in self.hops(hs, rmask, over, self.x - {hs, ht}):
                 centre = shortest_path(
                     self.sg, s1, 1 << t1,
                     rmask & ~mask_of(({fs} | set(hop)) - {s1, t1}))
                 if centre is None:
                     continue
-                h1 = self.hook(fs, "star.packed.low.hook2")
-                h2 = self.hook(ft, "star.packed.low.hook2")
-                out[fi] = _join([fs, h1],
-                                self.a1_path("star.packed.low.carry2", h1,
-                                             h2), [h2, ft])
-                q = [ht] if hop[-1] == ht else \
-                    self.region_path("star.packed.low.land", fmask,
-                                     hop[-1], ht, avoid=self.x - {hs, ht})
-                out[hi] = _join(hop, q, [ht])
+                out[fi] = self.detour("star.packed.low.hook2",
+                                      "star.packed.low.carry2", fs, ft)
+                out[hi] = self.land("star.packed.low.land", hop, ht, fmask,
+                                    avoid=self.x - {hs, ht})
                 out[0] = centre
                 return out
         # no workable hop: send one pair through the antistar instead,
         # stepping off the antipode if its far end sits there
-        hs, ht, hi = combos[0][0]
-        fs, ft, fi = combos[0][1]
-        hook3 = self.hook(hs, "star.packed.low.hook3")
-        if ht != s1o:
-            tails = [ht, self.hook(ht, "star.packed.low.hook3")]
-        else:
-            u = next((w for w in sorted(bits(self.sg.adj[ht] & fmask))
-                      if w not in self.x), None)
-            _need(u is not None, "star.packed.low.sidestep",
-                  "no free vertex beside the antipode")
-            tails = [ht, u, self.hook(u, "star.packed.low.hook3")]
-        out[hi] = _join([hs, hook3],
-                        self.a1_path("star.packed.low.carry3", hook3,
-                                     tails[-1]),
-                        list(reversed(tails)))
-        walk = None
-        banned2 = set(tails) | {s1, t1, hs}
-        p = over(fs)
-        if p not in banned2:
-            walk = [fs, p]
-        else:
-            for u in sorted(bits(self.sg.adj[fs] & rmask)):
-                if u in banned2:
-                    continue
-                q = over(u)
-                if q not in banned2:
-                    walk = [fs, u, q]
-                    break
+        (hs, ht, hi), (fs, ft, fi) = combos[0]
+        end = [ht]
+        if ht == s1o:
+            end.insert(0, self.free_neighbour(
+                "star.packed.low.sidestep",
+                "no free vertex beside the antipode", ht, fmask))
+        out[hi] = _join(self.detour("star.packed.low.hook3",
+                                    "star.packed.low.carry3", hs, end[0]),
+                        end)
+        walk = next(self.hops(fs, rmask, over, set(end) | {s1, t1, hs}),
+                    None)
         _need(walk is not None, "star.packed.low.step2",
               "second pair cannot reach the far face")
-        q2 = [ft] if walk[-1] == ft else \
-            self.region_path("star.packed.low.land2", fmask, walk[-1], ft,
-                             avoid=set(tails))
-        out[fi] = _join(walk, q2, [ft])
+        out[fi] = self.land("star.packed.low.land2", walk, ft, fmask,
+                            avoid=set(end))
         out[0] = self.region_path("star.packed.low.centre2", rmask, s1,
                                   t1, avoid=({hs} | set(walk)) - {s1, t1})
         return out
-
-    def _hop_candidates(self, src, mate, rmask, over, extra=()):
-        """Walks of length <= 2 from the near face onto the far face,
-        shortest first (the mate of src may serve as the landing)."""
-        banned = (self.x - {src, mate}) | set(extra)
-        p = over(src)
-        if p not in banned:
-            yield [src, p]
-        for u in sorted(bits(self.sg.adj[src] & rmask)):
-            if u in banned:
-                continue
-            q = over(u)
-            if q not in banned:
-                yield [src, u, q]
 
     def _packed_low_antipode(self) -> list[list[int]]:
         _mark("star.packed.low.antipode")
         # d = 5 and the centre pair is antipodal in the heavy facet
         out: list = [None] * self.k
-        s1, t1, ch = self.s1, self.t1, self.ch1
-        door = next((w for w in sorted(bits(self.sg.adj[t1] & self.f1mask))
-                     if w not in self.x), None)
-        _need(door is not None, "star.packed.low.escape",
-              "blocked pattern slipped past detection")
+        s1, t1 = self.s1, self.t1
+        door = self.free_neighbour("star.packed.low.escape",
+                                   "blocked pattern slipped past detection",
+                                   t1, self.f1mask)
         rmask, fmask, jmask, nbmask, deep, over, down = \
             self._low_frame(door)
         rset, fset = set(bits(rmask)), set(bits(fmask))
@@ -1109,10 +1011,9 @@ class _StarRouter:
         if whole_r:
             pr = whole_r[0]
             other = b if pr is a else a
-            got = _solve("star.packed.low.deep-pair",
-                         self.sg.restrict(jmask),
-                         [(deep(s1), deep(door)),
-                          (deep(pr[0]), deep(pr[1]))])
+            got = self.solve_in("star.packed.low.deep-pair", jmask,
+                                [(deep(s1), deep(door)),
+                                 (deep(pr[0]), deep(pr[1]))])
             out[0] = _join([s1, deep(s1)], got[0], [deep(door), door, t1])
             ps, pt, pi = pr
             out[pi] = _join([ps, deep(ps)], got[1], [deep(pt), pt])
@@ -1139,40 +1040,26 @@ class _StarRouter:
                     os_, ot, oi = other
             out[pi] = self.region_path("star.packed.low.near-own", fmask,
                                        ps, pt, avoid=self.x - {ps, pt})
-            h1 = self.hook(os_, "star.packed.low.hook4")
-            h2 = self.hook(ot, "star.packed.low.hook4")
-            out[oi] = _join([os_, h1],
-                            self.a1_path("star.packed.low.carry4", h1,
-                                         h2), [h2, ot])
+            out[oi] = self.detour("star.packed.low.hook4",
+                                  "star.packed.low.carry4", os_, ot)
             q = self.region_path("star.packed.low.centre3", rmask, s1,
                                  door, avoid=self.x - {s1})
             out[0] = _join(q, [t1])
             return out
         # both small pairs straddle the faces
-        def oriented(j):
-            s, t, i = j
-            return (s, t, i) if s in rset else (t, s, i)
-
-        a, b = oriented(a), oriented(b)
-        for hopv, farv in ((b, a), (a, b)):
-            hs, ht, hi = hopv
-            fs, ft, fi = farv
-            for hop in self._hop_candidates(hs, ht, rmask, over,
-                                            extra={door}):
+        a, b = _from_side(a, rmask), _from_side(b, rmask)
+        for (hs, ht, hi), (fs, ft, fi) in ((b, a), (a, b)):
+            for hop in self.hops(hs, rmask, over,
+                                 (self.x - {hs, ht}) | {door}):
                 centre = shortest_path(
                     self.sg, s1, 1 << door,
                     rmask & ~mask_of(({fs} | set(hop)) - {s1, door}))
                 if centre is None:
                     continue
-                q = [ht] if hop[-1] == ht else \
-                    self.region_path("star.packed.low.land3", fmask,
-                                     hop[-1], ht, avoid=self.x - {hs, ht})
-                out[hi] = _join(hop, q, [ht])
-                h1 = self.hook(fs, "star.packed.low.hook5")
-                h2 = self.hook(ft, "star.packed.low.hook5")
-                out[fi] = _join([fs, h1],
-                                self.a1_path("star.packed.low.carry5", h1,
-                                             h2), [h2, ft])
+                out[hi] = self.land("star.packed.low.land3", hop, ht, fmask,
+                                    avoid=self.x - {hs, ht})
+                out[fi] = self.detour("star.packed.low.hook5",
+                                      "star.packed.low.carry5", fs, ft)
                 out[0] = _join(centre, [t1])
                 return out
         raise ProofStepError("star.packed.low.hop",
@@ -1241,22 +1128,32 @@ def link_in_polytope(c: PolytopalComplex, x, y) -> Linkage:
     _need(got is not None, "poly.fan", "no disjoint fan into the star")
     tail = {q[0]: list(q) for q in got}
     tail[s1] = [s1]
-    ybar = [(s1, tail[t1][-1])] + [(tail[s][-1], tail[t][-1])
-                                   for s, t in y[1:]]
-    barx = [e for pr in ybar for e in pr]
-    found = detect_config_dF(c, barx, ybar, s1)
+    ybar, found = _fan_ends(c, y, tail)
     if found is None:
         _mark("polytope.plain")
-        res = link_in_star(StarProblem(starc, s1, tuple(ybar)))
-        _need(not isinstance(res, ConfigDFRefusal), "poly.star",
-              "star refused outside the blocked pattern")
-        bar = [_orient(q, ybar[i][0]) for i, q in enumerate(res.paths)]
-        out = [_join(tail[s], bar[i], list(reversed(tail[t])))
-               for i, (s, t) in enumerate(y)]
+        out = _close_in_star(starc, y, ybar, tail, "poly.star",
+                             "star refused outside the blocked pattern")
     else:
         out = _route_blocked(c, g, starc, smask, y, ybar, tail, *found)
     prob = LinkageProblem(g, y)
     return Linkage(tuple(tuple(q) for q in out)).check_against(prob)
+
+
+def _fan_ends(c, y, tail):
+    """The pairing of the fan's star ends, and the blocked pattern it
+    realises (detect_config_dF's answer)."""
+    ybar = [(tail[s][-1], tail[t][-1]) for s, t in y]
+    return ybar, detect_config_dF(c, [v for pr in ybar for v in pr], ybar,
+                                  y[0][0])
+
+
+def _close_in_star(starc, y, ybar, tail, step, why) -> list[list[int]]:
+    """Route the fan's end pairing ybar inside the star and close every
+    pair of y over its fan tails; a refusal fails `step`."""
+    res = link_in_star(StarProblem(starc, y[0][0], tuple(ybar)))
+    _need(not isinstance(res, ConfigDFRefusal), step, why)
+    return _close(tail, y, [_orient(q, s)
+                            for q, (s, _) in zip(res.paths, ybar)])
 
 
 def _route_blocked(c, g, starc, smask, y, ybar, tail, f1,
@@ -1264,7 +1161,7 @@ def _route_blocked(c, g, starc, smask, y, ybar, tail, f1,
     """The fan endpoints realise the blocked pattern; fix it and route."""
     _need(ctx.next_facet is not None, "poly.context",
           "polytope ridge must have two facets")
-    s1, t1 = y[0]
+    t1 = y[0][1]
     rjmask = mask_of(c.face_vertices(ctx.escape_ridge))
     order = [t1] + [v for pr in y[1:] for v in pr]
     touch = [v for v in order if mask_of(tail[v]) & rjmask]
@@ -1278,7 +1175,6 @@ def _swap_blocked_tail(c, g, starc, smask, y, ybar, tail, ctx, touch):
     # some fan path already crosses the escape ridge: divert it there and
     # land it on a fresh ridge vertex, which unblocks the pattern
     _mark("polytope.blocked.swap")
-    s1 = y[0][0]
     rjmask = mask_of(c.face_vertices(ctx.escape_ridge))
     goodmask = mask_of(ctx.good)
     chj = c.chart(ctx.next_facet)
@@ -1317,17 +1213,10 @@ def _swap_blocked_tail(c, g, starc, smask, y, ybar, tail, ctx, touch):
             newtail = stub + walk[1:] + [chj.project_to(end, ctx.ridge)]
     tail2 = dict(tail)
     tail2[pick] = newtail
-    ybar2 = [(s1, tail2[y[0][1]][-1])] + [(tail2[s][-1], tail2[t][-1])
-                                          for s, t in y[1:]]
-    barx2 = [e for pr in ybar2 for e in pr]
-    _need(detect_config_dF(c, barx2, ybar2, s1) is None,
-          "poly.blocked.again", "diversion failed to unblock")
-    res = link_in_star(StarProblem(starc, s1, tuple(ybar2)))
-    _need(not isinstance(res, ConfigDFRefusal), "poly.blocked.star",
-          "star refused after the diversion")
-    bar = [_orient(q, ybar2[i][0]) for i, q in enumerate(res.paths)]
-    return [_join(tail2[s], bar[i], list(reversed(tail2[t])))
-            for i, (s, t) in enumerate(y)]
+    ybar2, found = _fan_ends(c, y, tail2)
+    _need(found is None, "poly.blocked.again", "diversion failed to unblock")
+    return _close_in_star(starc, y, ybar2, tail2, "poly.blocked.star",
+                          "star refused after the diversion")
 
 
 def _thread_blocked(c, g, y, ybar, tail, f1, ctx) -> list[list[int]]:
@@ -1370,8 +1259,7 @@ def _thread_blocked(c, g, y, ybar, tail, f1, ctx) -> list[list[int]]:
         sb, tb = ybar[i]
         bar[i] = _join([sb], linked[j + 1], [tb])
     bar[pos] = _orient([anchor, mid, mate], ybar[pos][0])
-    return [_join(tail[s], bar[i], list(reversed(tail[t])))
-            for i, (s, t) in enumerate(y)]
+    return _close(tail, y, bar)
 
 
 def strong_link_even(c: PolytopalComplex, x, y, avoid: int) -> Linkage:
@@ -1402,8 +1290,7 @@ def strong_link_even(c: PolytopalComplex, x, y, avoid: int) -> Linkage:
     linked = _attempt(lk.graph(), prs)
     if linked is not None:
         _mark("even.link")
-        out = [_join(tail[s], linked[i], list(reversed(tail[t])))
-               for i, (s, t) in enumerate(y)]
+        out = _close(tail, y, linked)
     else:
         # the link of a vertex in a 4-polytope is not quite 2-linked: a
         # pairing crossed on a square of the link has no linkage there

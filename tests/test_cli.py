@@ -190,6 +190,19 @@ def test_construct_star_keeps_caller_pair_order(tmp_path, capsys):
             == sorted(map(sorted, reports[1]["paths"])))
 
 
+def test_construct_forbidden_terminal_names_the_fields(tmp_path, capsys):
+    # an even-dimension problem whose avoided vertex is also a terminal
+    # fails before routing, in the problem file's own terms
+    f = tmp_path / "p.json"
+    for graph in ({"kind": "cube", "dim": 4}, [[1], [0, 2], [1]]):
+        f.write_text(json.dumps({"graph": graph, "pairs": [[0, 1]],
+                                 "forbidden": [1]}))
+        code, out, err = run(capsys, "construct", "--instance", str(f))
+        assert code == 2 and out == ""
+        assert err == ('error: "forbidden" vertex 1 is also a terminal in '
+                       '"pairs"\n')
+
+
 def test_star_lemma_centre_outside_first_pair(capsys):
     # the centre 16 of the bicube_5 star sorts after other terminals, so
     # most sampled instances do not list its pair first
@@ -273,6 +286,12 @@ def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
         code, _, err = run(capsys, "verify", "--kind", "cube", "--dim", "3",
                            "--check", "k_linked", "--k", "2", "--jobs", jobs)
         assert code == 2 and "--jobs" in err
+    for check in (("k_linked", "--k", "2"), ("star_lemma",)):
+        for samples in ("0", "-5"):
+            code, out, err = run(capsys, "verify", "--kind", "cube", "--dim",
+                                 "5", "--check", *check, "--mode", "sampled",
+                                 "--samples", samples)
+            assert code == 2 and out == "" and "--samples" in err
     for graph in ([[1, 9], [0]], [[1, -1], [0]], [5, [0]], [[1], [2], []],
                   [[1.5], [0]], [[True], [0]], [[[1]], [0]]):
         f = tmp_path / "bad.json"
