@@ -191,8 +191,8 @@ def test_construct_star_keeps_caller_pair_order(tmp_path, capsys):
 
 
 def test_construct_forbidden_terminal_names_the_fields(tmp_path, capsys):
-    # an even-dimension problem whose avoided vertex is also a terminal
-    # fails before routing, in the problem file's own terms
+    # a forbidden vertex that is also a terminal fails before routing, in
+    # the problem file's terms (strong_link_even would name its parameters)
     f = tmp_path / "p.json"
     for graph in ({"kind": "cube", "dim": 4}, [[1], [0, 2], [1]]):
         f.write_text(json.dumps({"graph": graph, "pairs": [[0, 1]],
