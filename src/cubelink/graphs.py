@@ -140,12 +140,15 @@ def reachable_mask(g: Graph, seeds: int, allowed: Optional[int] = None) -> int:
     """All vertices reachable from `seeds` inside `allowed` (seeds included
     only where they lie in `allowed`)."""
     allowed = g.active if allowed is None else allowed & g.active
+    adj = g.adj
     frontier = seeds & allowed
     seen = frontier
     while frontier:
         nxt = 0
-        for v in bits(frontier):
-            nxt |= g.adj[v]
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
         frontier = nxt & allowed & ~seen
         seen |= frontier
     return seen
@@ -176,16 +179,19 @@ def components(g: Graph, region: Optional[int] = None) -> list[int]:
 def bfs_distances(g: Graph, seeds: int, allowed: Optional[int] = None) -> dict[int, int]:
     """Distance from the seed set to every reachable vertex, seeds at 0."""
     allowed = g.active if allowed is None else allowed & g.active
+    adj = g.adj
     dist: dict[int, int] = {}
     frontier = seeds & allowed
     d = 0
     seen = frontier
     while frontier:
-        for v in bits(frontier):
-            dist[v] = d
         nxt = 0
-        for v in bits(frontier):
-            nxt |= g.adj[v]
+        while frontier:
+            low = frontier & -frontier
+            v = low.bit_length() - 1
+            dist[v] = d
+            nxt |= adj[v]
+            frontier ^= low
         frontier = nxt & allowed & ~seen
         seen |= frontier
         d += 1

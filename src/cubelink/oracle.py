@@ -1,12 +1,23 @@
 """Ground truth for linkages: complete search, Menger paths, campaigns.
 
 The solver works on bitmask adjacency.  A linkage problem with pairs
-{s_i, t_i} and a forbidden set is solved by depth-first extension of one
-partial path at a time, with two soundness-preserving accelerations: a
-greedy BFS routing attempt first (its successes are real linkages by
-construction), and a reachability prune inside the DFS (a partial state
-where some unfinished pair cannot reach its mate in the residual graph has
-no completion).  Neither affects completeness, which the tests cross-check
+{s_i, t_i} and a forbidden set runs through three stages in turn:
+
+1. greedy: route the pairs one after another along BFS shortest paths
+   through fresh non-terminal vertices, in both pair orders.  A full
+   routing is a real linkage by construction; a failure proves nothing.
+2. fast no: some s_i cannot reach t_i avoiding the forbidden set and the
+   other terminals, so no linkage exists.
+3. the complete DFS: depth-first extension of one partial path at a time,
+   pruned where some unfinished pair cannot reach its mate in the residual
+   graph (such a state has no completion).
+
+Greedy runs before fast-no because a greedy success passes fast-no: each
+of its paths already avoids every other terminal and the forbidden set.
+So the order changes no verdict and no returned linkage, only the cost of
+the instances greedy decides, which are nearly all campaign instances.
+All three stages share one BFS, `_layers_to`, over one int bitmask per
+layer.  No stage affects completeness, which the tests cross-check
 against a naive all-simple-path-tuples enumerator on small graphs.
 """
 
@@ -19,6 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
+from .cube import cube_graph
 from .graphs import Graph, bits, connected_within, mask_of
 
 DEFAULT_BUDGET = 10 ** 7
@@ -133,55 +145,58 @@ def _json_safe(x):
 # -- core search -------------------------------------------------------------
 
 
+def _layers_to(adj: Sequence[int], s: int, t: int,
+               allowed: int) -> Optional[list[int]]:
+    """The BFS layers from s, each an int bitmask, stepping through
+    `allowed` minus s and t, up to and including the first layer with a
+    neighbour of t; None when no layer has one.  s == t is the caller's
+    case.  The test `layer & adj[t]` reads adjacency from t's side, which
+    `Graph`'s symmetry check makes equivalent to each vertex listing t."""
+    goal_adj = adj[t]
+    layer = 1 << s
+    rest = allowed & ~(layer | (1 << t))
+    layers = [layer]
+    while not layer & goal_adj:
+        nxt = 0
+        while layer:
+            low = layer & -layer
+            nxt |= adj[low.bit_length() - 1]
+            layer ^= low
+        layer = nxt & rest
+        if not layer:
+            return None
+        rest ^= layer
+        layers.append(layer)
+    return layers
+
+
 def _reach_ok(adj: Sequence[int], src: int, goal: int, allowed: int) -> bool:
     """Can src reach goal stepping through `allowed` (goal bit included)?"""
-    if src == goal:
-        return True
-    goal_bit = 1 << goal
-    frontier = adj[src] & allowed
-    if frontier & goal_bit:
-        return True
-    seen = frontier
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= adj[v]
-        if nxt & goal_bit:
-            return True
-        frontier = nxt & allowed & ~seen
-        seen |= frontier
-    return False
+    return src == goal or _layers_to(adj, src, goal, allowed) is not None
 
 
 def _bfs_path(adj: Sequence[int], s: int, t: int,
               allowed: int) -> Optional[list[int]]:
     """Shortest s-t path with interior in `allowed`; deterministic
-    (least-id parents win).  s and t need not lie in `allowed`."""
+    (least-id parents win).  s and t need not lie in `allowed`.
+
+    The path is read backwards from t through the layers: at each layer
+    it steps to the least-id vertex adjacent to the current one, which is
+    the parent a forward BFS over ascending frontiers would have recorded.
+    """
     if s == t:
         return [s]
-    if (adj[s] >> t) & 1:
-        return [s, t]
-    inner = allowed & ~(1 << t)
-    parent: dict[int, int] = {}
-    seen = (1 << s) | (1 << t)
-    frontier = [s]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            a = adj[v]
-            if (a >> t) & 1 and v != s:
-                path = [t, v]
-                while path[-1] != s:
-                    path.append(parent[path[-1]])
-                path.reverse()
-                return path
-            fresh = a & inner & ~seen
-            seen |= fresh
-            for w in bits(fresh):
-                parent[w] = v
-                nxt.append(w)
-        frontier = sorted(nxt)
-    return None
+    layers = _layers_to(adj, s, t, allowed)
+    if layers is None:
+        return None
+    path = [t]
+    v = t
+    for layer in reversed(layers):
+        back = layer & adj[v]
+        v = (back & -back).bit_length() - 1
+        path.append(v)
+    path.reverse()
+    return path
 
 
 def _greedy_attempt(adj: Sequence[int], active: int,
@@ -194,7 +209,7 @@ def _greedy_attempt(adj: Sequence[int], active: int,
     for s, t in pairs:
         term_mask |= (1 << s) | (1 << t)
     used = blocked | term_mask
-    out: dict[int, list[int]] = {}
+    out: list = [None] * len(pairs)
     for i in order:
         s, t = pairs[i]
         path = _bfs_path(adj, s, t, active & ~used)
@@ -203,7 +218,7 @@ def _greedy_attempt(adj: Sequence[int], active: int,
         out[i] = path
         for v in path:
             used |= 1 << v
-    return [out[i] for i in range(len(pairs))]
+    return out
 
 
 def _solve_dfs(adj: Sequence[int], active: int,
@@ -286,17 +301,15 @@ def _solve_dfs(adj: Sequence[int], active: int,
 def _solve_core(adj: Sequence[int], active: int,
                 pairs: Sequence[tuple[int, int]], forbidden_mask: int,
                 budget: int) -> Optional[list[list[int]]]:
-    """Shared fast path + complete fallback; the campaign hot loop."""
+    """Shared fast path + complete fallback; the campaign hot loop.
+
+    Stages: greedy in both pair orders, then fast-no, then `_solve_dfs`.
+    Fast-no only ever answers None, and it passes on every instance that
+    greedy routes (greedy paths avoid the forbidden set and all other
+    terminals), so running it after greedy returns exactly what running
+    it first would."""
     if not pairs:
         return []
-    term_mask = 0
-    for s, t in pairs:
-        term_mask |= (1 << s) | (1 << t)
-    # fast no: each path must avoid the other terminals and the forbidden set
-    for s, t in pairs:
-        allowed = (active & ~forbidden_mask & ~term_mask) | (1 << t)
-        if not _reach_ok(adj, s, t, allowed):
-            return None
     k = len(pairs)
     orders: list[tuple[int, ...]] = [tuple(range(k))]
     if k > 1:
@@ -305,6 +318,14 @@ def _solve_core(adj: Sequence[int], active: int,
         got = _greedy_attempt(adj, active, pairs, forbidden_mask, order)
         if got is not None:
             return got
+    term_mask = 0
+    for s, t in pairs:
+        term_mask |= (1 << s) | (1 << t)
+    # fast no: each path must avoid the other terminals and the forbidden set
+    for s, t in pairs:
+        allowed = (active & ~forbidden_mask & ~term_mask) | (1 << t)
+        if not _reach_ok(adj, s, t, allowed):
+            return None
     return _solve_dfs(adj, active, pairs, forbidden_mask, budget)
 
 
@@ -418,9 +439,9 @@ def verify_k_linked(g: Graph, k: int, mode: str = "exhaustive",
     """Is every set of 2k vertices linked under every pairing?
 
     mode "exhaustive" sweeps all instances; passing `symmetry` = d (with g
-    the d-cube graph) sweeps only canonical representatives under the
-    hyperoctahedral group and reports the orbit count.  mode "sampled"
-    draws `samples` seeded instances.
+    the d-cube graph, else ValueError) sweeps only canonical
+    representatives under the hyperoctahedral group and reports the orbit
+    count.  mode "sampled" draws `samples` seeded instances.
     """
     return _verify(g, k, mode, symmetry, samples, seed, budget, jobs,
                    strong=False, progress=progress)
@@ -444,6 +465,12 @@ def _verify(g: Graph, k: int, mode: str, symmetry: Optional[int],
     ids = sorted(g.vertices())
     if len(ids) < size:
         raise ValueError(f"graph has {len(ids)} vertices, need {size}")
+    if symmetry is not None:
+        # the orbit sweep walks the d-cube's vertex ids under its group,
+        # which says nothing about any other graph
+        if g.n != 1 << symmetry or g != cube_graph(symmetry):
+            raise ValueError(f"symmetry={symmetry} needs the "
+                             f"{symmetry}-cube graph")
     t0 = time.perf_counter()
     detail: dict = {}
     if mode == "exhaustive":

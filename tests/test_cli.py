@@ -536,3 +536,89 @@ def test_construct_problem_file_fuzz(tmp_path, capsys, prob):
     else:
         want = ("linked",) if code == 0 else ("unlinked", "refused")
         assert json.loads(out)["status"] in want
+
+
+def _flag(name, good, junk=()):
+    # the flag with one of its values; None leaves the flag out
+    return hst.sampled_from(list(good) + list(junk)).map(
+        lambda v: [] if v is None else [name] if v is True else [name, str(v)])
+
+
+@hst.composite
+def _argv(draw):
+    """A command line from the real flag vocabulary, bounded so that every
+    run is small: exhaustive sweeps on d <= 3 with k <= 2, at most 50
+    samples, and --jobs in {1, 0, -1} so that no process pool starts.
+    Half the lines draw only good values, so they get past the usage
+    checks; the other half may leave flags out, give bad values or carry
+    a junk token."""
+    clean = draw(hst.booleans())
+    # the bad values a line may draw: none on a clean line
+    junk = (lambda *v: ()) if clean else (lambda *v: v)
+    command = draw(hst.sampled_from(["verify"] * 6 + ["inspect", "bench"]
+                                    + list(junk("construct"))))
+    mode = draw(hst.sampled_from(["exhaustive", "sampled", *junk(None)]))
+    small = command == "verify" and mode != "sampled"
+    kind = draw(hst.sampled_from(["cube", "glued_chain", "star_of_vertex",
+                                  *junk("from_file", None)]))
+    flags = [
+        hst.just([] if kind is None else ["--kind", kind]),
+        _flag("--dim", [2, 3] if small else [2, 3, 4], junk(None)),
+        _flag("--chain-length", [2, 3] if kind == "glued_chain" else [None],
+              junk(0, -1)),
+        _flag("--instance", [None], junk("/nonexistent.json")),
+        _flag("--format", ["json", "csv", "text"], junk(None)),
+        _flag("--seed", [None, 0, 7]),
+        _flag("--budget", [None, 1, 50, 2000]),
+    ]
+    if command == "verify":
+        flags += [
+            _flag("--check", cubelink.cli.CHECKS, junk(None)),
+            _flag("--k", [0, 1, 2] + ([] if small else [3, 4]),
+                  junk(None, -1)),
+            hst.just([] if mode is None else ["--mode", mode]),
+            _flag("--samples", [1, 17, 50], junk(None, 0, -1)),
+            _flag("--jobs", [1], junk(None, 0, -1)),
+            _flag("--symmetry", [None, True]),
+        ]
+    elif command == "bench":
+        flags.append(_flag("--samples", [None, 1, 50], junk(-1)))
+    argv = [command]
+    for got in draw(hst.permutations(flags)):
+        argv += draw(got)
+    if not clean and draw(hst.booleans()):
+        argv.insert(draw(hst.integers(0, len(argv))),
+                    draw(hst.sampled_from(["x", "--dim", "--bogus", "-1"])))
+    return argv
+
+
+def _report_status(out, fmt):
+    if fmt == "json":
+        rep = json.loads(out)
+        return rep["verdict"]["status"] if "verdict" in rep else rep["status"]
+    sep = "," if fmt == "csv" else ": "
+    rows = out.splitlines()[1:] if fmt == "csv" else out.splitlines()
+    lines = dict(row.split(sep, 1) for row in rows)
+    return lines.get("verdict.status", lines.get("status"))
+
+
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argv())
+def test_argv_fuzz_exit_contract(capsys, monkeypatch, argv):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", no_pool)
+    try:
+        code = main(argv)
+    except SystemExit as e:             # argparse rejects the command line
+        code = e.code
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2, 3), (argv, err)
+    if code == 2:
+        assert out == "" and "error" in err, argv
+    elif code == 1:
+        fmt = (argv[argv.index("--format") + 1] if "--format" in argv
+               else "json")
+        assert _report_status(out, fmt) in ("counterexample", "refused",
+                                             "unlinked"), argv

@@ -1,8 +1,12 @@
+import hashlib
 import itertools
+import json
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import cubelink.symmetry
 from cubelink import linker, oracle
@@ -14,7 +18,9 @@ from conftest import (
     random_problem,
 )
 from cubelink.cube import cube_graph
-from cubelink.graphs import bits, graph_from_edges, mask_of
+from cubelink.generators import glued_cubes
+from cubelink.graphs import (bfs_distances, bits, graph_from_edges, mask_of,
+                             reachable_mask)
 from cubelink.oracle import (
     CAMPAIGN_BATCH,
     Linkage,
@@ -260,6 +266,22 @@ def test_campaign_decided_by_complete_search(monkeypatch):
         assert v.status == "counterexample" and v.witness.pairs == witness
 
 
+def test_symmetry_needs_the_cube_graph():
+    # the orbit sweep enumerates ids 0..2^d - 1 of the d-cube, so any
+    # other graph would be "verified" on instances that are not its own
+    bicube = glued_cubes(4, 2).graph()
+    q4 = cube_graph(4)
+    swap = {0: 3, 3: 0}           # Q_4 with ids 0 and 3 exchanged
+    relabelled = graph_from_edges(16, [(swap.get(u, u), swap.get(v, v))
+                                       for u, v in q4.edges()])
+    for g in (bicube, relabelled, q4.without([5]), cube_graph(3)):
+        for verify in (verify_k_linked, verify_strongly_linked):
+            with pytest.raises(ValueError, match="symmetry=4"):
+                verify(g, 2, symmetry=4)
+    assert verify_k_linked(q4, 2, symmetry=4).status == "verified"
+    assert verify_strongly_linked(q4, 2, symmetry=4).status == "verified"
+
+
 def test_verify_sampled_deterministic():
     g = cube_graph(4)
     a = verify_strongly_linked(g, 2, mode="sampled", samples=500, seed=11)
@@ -390,3 +412,129 @@ def test_problem_json_round_trip_shape():
     assert d["graph"][0] == [1, 2]
     spec = {"kind": "cube", "dim": 2}
     assert p.to_json_dict(graph_repr=spec)["graph"] is spec
+
+
+def _pinned_oracle_cases():
+    """3,000 seeded oracle problems: random graphs on 4-40 vertices, Q_3-Q_6
+    and bicube_4/5, k = 1-4 pairs, with and without forbidden vertices,
+    each with a random `allowed` mask for the BFS stage."""
+    rng = random.Random(20260907)
+    fixed = [cube_graph(d) for d in (3, 4, 5, 6)]
+    fixed += [glued_cubes(4, 2).graph(), glued_cubes(5, 2).graph()]
+    for i in range(3000):
+        if i % 3 == 0:
+            g = fixed[(i // 3) % len(fixed)]
+        else:
+            g = random_graph(rng, rng.randrange(4, 41), rng.uniform(0.05, 0.5))
+        made = random_problem(rng, g, rng.randrange(1, 5),
+                              forbid=rng.choice((0, 0, 1, 2)))
+        if made is None:
+            continue
+        pairs, forbidden = made
+        allowed = rng.getrandbits(g.n) & g.active
+        yield g, pairs, mask_of(forbidden), allowed
+
+
+def _oracle_digest() -> str:
+    h = hashlib.sha256()
+    for g, pairs, forbidden, allowed in _pinned_oracle_cases():
+        try:
+            got = oracle._solve_core(g.adj, g.active, pairs, forbidden,
+                                     10 ** 4)
+        except SearchBudgetExceeded:
+            got = "budget"
+        s, t = pairs[0]
+        row = [got, oracle._bfs_path(g.adj, s, t, allowed),
+               oracle._reach_ok(g.adj, s, t, allowed | (1 << t))]
+        h.update(json.dumps(row).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_solve_core_output_pinned():
+    # recorded with the earlier fast path (bits()-generator BFS with a
+    # parent dict, fast-no before greedy), which the layer-mask BFS replaced
+    assert _oracle_digest() == (
+        "7a9feb92910b5bf37a09ebb04a5bbdc0e48f8ad227c1a5432bb76c2b2b09855f")
+
+
+@hst.composite
+def _bfs_case(draw):
+    n = draw(hst.integers(2, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [e for e, on in zip(pairs, draw(hst.lists(
+        hst.booleans(), min_size=len(pairs), max_size=len(pairs)))) if on]
+    g = graph_from_edges(n, edges)
+    s = draw(hst.integers(0, n - 1))
+    t = draw(hst.integers(0, n - 1))
+    return g, s, t, draw(hst.integers(0, (1 << n) - 1))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_bfs_case())
+def test_bfs_path_is_least_id_shortest_path(case):
+    g, s, t, allowed = case
+    path = oracle._bfs_path(g.adj, s, t, allowed)
+    inner = allowed & ~((1 << s) | (1 << t))
+    dist = bfs_distances(g, 1 << s, inner | (1 << s) | (1 << t))
+    if t not in dist:
+        assert path is None
+        return
+    assert path is not None and len(path) == dist[t] + 1
+    assert path[0] == s and path[-1] == t
+    assert len(set(path)) == len(path)
+    assert all((inner >> v) & 1 for v in path[1:-1])
+    # the predecessor of each vertex is its least-id neighbour one layer
+    # closer to s (s itself is layer 0)
+    near = bfs_distances(g, 1 << s, inner | (1 << s))
+    for i in range(1, len(path)):
+        layer = [u for u in bits(g.adj[path[i]]) if near.get(u) == i - 1]
+        assert path[i - 1] == min(layer)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_bfs_case())
+def test_reach_ok_matches_reachable_mask(case):
+    g, s, t, allowed = case
+    allowed |= 1 << t
+    want = (reachable_mask(g, 1 << s, allowed | (1 << s)) >> t) & 1
+    assert oracle._reach_ok(g.adj, s, t, allowed) == bool(want)
+
+
+def test_fast_no_rejections_never_reach_the_dfs(monkeypatch):
+    """Greedy runs before fast-no; an instance fast-no rejects must still
+    be answered None without the complete search."""
+    dfs_calls = []
+    dfs = oracle._solve_dfs
+
+    def counted_dfs(*args):
+        dfs_calls.append(args)
+        return dfs(*args)
+
+    monkeypatch.setattr(oracle, "_solve_dfs", counted_dfs)
+    # vertex 0 of Q_3 has neighbours 1, 2, 4: two terminals and a
+    # forbidden vertex leave it no way out
+    p = LinkageProblem(cube_graph(3), ((0, 7), (1, 2)), frozenset({4}))
+    assert solve_linkage(p) is None and dfs_calls == []
+    rng = random.Random(515)
+    rejected = searched = 0
+    while rejected < 300:
+        g = random_graph(rng, rng.randrange(5, 13), rng.uniform(0.15, 0.45))
+        made = random_problem(rng, g, rng.randrange(1, 4),
+                              forbid=rng.randrange(0, 3))
+        if made is None:
+            continue
+        pairs, forbidden = made
+        terms = mask_of(v for pr in pairs for v in pr)
+        open_mask = g.active & ~mask_of(forbidden) & ~terms
+        blocked = any(not (reachable_mask(g, 1 << s, open_mask | (1 << s)
+                                          | (1 << t)) >> t) & 1
+                      for s, t in pairs)
+        before = len(dfs_calls)
+        got = solve_linkage(LinkageProblem(g, pairs, forbidden))
+        if blocked:
+            rejected += 1
+            assert got is None and len(dfs_calls) == before
+        else:
+            searched += len(dfs_calls) > before
+    assert searched > 0        # the counter does see the search run
