@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -19,6 +20,19 @@ def test_cube_boundary_f_vectors():
     assert cube_boundary(3).f_vector() == (8, 12, 6)
     assert cube_boundary(4).f_vector() == (16, 32, 24, 8)
     assert cube_boundary(5).f_vector() == (32, 80, 80, 40, 10)
+
+
+def test_generated_faces_and_labels_pinned():
+    # recorded with the CubeFace.vertices() builders, before the levels
+    # were shifted from one cached table of the cube's faces
+    h = hashlib.sha256()
+    built = [glued_cubes(d, n) for d in range(3, 7) for n in (2, 3)]
+    built += [cube_boundary(d) for d in range(2, 7)]
+    for c in built:
+        h.update(json.dumps([c.labels, c.faces]).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == (
+        "d85db13ebe5e493c0c5f6574dc0f7c86cfeadfc4667ecef96955f03a48b4dec3")
 
 
 def test_cube_boundary_dim_guard():
