@@ -718,7 +718,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="verify and construct disjoint-path linkages in "
                     "cubical polytopes")
     sub = ap.add_subparsers(dest="command", required=True)
-    default_jobs = int(os.environ.get("CUBELINK_JOBS", "1"))
+    raw_jobs = os.environ.get("CUBELINK_JOBS", "1")
+    try:
+        default_jobs = int(raw_jobs)
+    except ValueError:
+        raise UsageError(f"CUBELINK_JOBS must be an integer, "
+                         f"got {raw_jobs!r}") from None
 
     pv = sub.add_parser("verify", help="run a verification campaign")
     _add_instance_flags(pv)
@@ -750,9 +755,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

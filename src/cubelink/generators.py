@@ -7,6 +7,7 @@ bits ranging over the (d-1) cross coordinates.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -16,15 +17,33 @@ from .complexes import (ComplexError, PolytopalComplex,
                         complex_from_json_dict, vertex_star)
 
 
+@functools.lru_cache(maxsize=None)
+def _cube_faces(d: int, chain: bool = False) -> tuple[tuple, ...]:
+    """Per face dimension j < d, the j-faces of the d-cube in
+    `cube.faces_of_dim` order, each as (fixed_mask, fixed_values, its
+    vertex ids ascending).  The ids are the bit patterns, or with `chain`
+    those of the first cube of a glued chain: pattern v becomes layer
+    v & 1, cross bits v >> 1."""
+    half = 1 << (d - 1)
+    out = []
+    for j in range(d):
+        level = []
+        for f in cube.faces_of_dim(d, j):
+            ids = tuple(f.vertices())
+            if chain:
+                ids = tuple(sorted((v & 1) * half + (v >> 1) for v in ids))
+            level.append((f.fixed_mask, f.fixed_values, ids))
+        out.append(tuple(level))
+    return tuple(out)
+
+
 def cube_boundary(d: int) -> PolytopalComplex:
     """Boundary complex of the d-cube: all proper faces, labels = bit
     patterns (so vertex id == bit pattern)."""
     if not 2 <= d <= 6:
         raise ValueError(f"cube_boundary wants 2 <= d <= 6, got {d}")
     labels = list(range(1 << d))
-    levels = []
-    for j in range(d):
-        levels.append([tuple(sorted(f.vertices())) for f in cube.faces_of_dim(d, j)])
+    levels = [[verts for _, _, verts in level] for level in _cube_faces(d)]
     return PolytopalComplex(labels, levels, check=False)
 
 
@@ -44,22 +63,19 @@ def glued_cubes(d: int, n: int) -> PolytopalComplex:
         raise ValueError(f"glued_cubes wants n >= 2, got {n}")
     half = 1 << (d - 1)
     labels = [(layer, b) for layer in range(n + 1) for b in range(half)]
-
-    def vid(layer: int, b: int) -> int:
-        return layer * half + b
-
-    levels: list[set[tuple[int, ...]]] = [set() for _ in range(d)]
-    for c in range(n):
-        for j in range(d):
-            for f in cube.faces_of_dim(d, j):
-                # drop interior gluing facets: x_0 fixed, facing a neighbour
-                if j == d - 1 and f.fixed_mask == 1:
-                    side = f.fixed_values & 1
-                    if (side == 1 and c < n - 1) or (side == 0 and c > 0):
-                        continue
-                verts = tuple(sorted(
-                    vid(c + (v & 1), v >> 1) for v in f.vertices()))
-                levels[j].add(verts)
+    levels: list[set[tuple[int, ...]]] = []
+    for j, faces in enumerate(_cube_faces(d, chain=True)):
+        level = set()
+        for mask, vals, ids in faces:
+            cubes = range(n)
+            # drop interior gluing facets: x_0 fixed, facing a neighbour
+            if j == d - 1 and mask == 1:
+                cubes = range(n - 1, n) if vals & 1 else range(1)
+            # cube c's copy of a face is cube 0's, c layers further on
+            for c in cubes:
+                shift = c * half
+                level.add(tuple(x + shift for x in ids) if shift else ids)
+        levels.append(level)
     return PolytopalComplex(labels, [sorted(level) for level in levels],
                             check=False)
 

@@ -19,6 +19,13 @@ the instances greedy decides, which are nearly all campaign instances.
 All three stages share one BFS, `_layers_to`, over one int bitmask per
 layer.  No stage affects completeness, which the tests cross-check
 against a naive all-simple-path-tuples enumerator on small graphs.
+
+Campaigns add a batch stage in front: on graphs of at most 64 vertices,
+one vectorized greedy pass (numpy, one uint64 mask per instance and BFS
+layer) decides a whole batch of instances, and only those it leaves
+undecided go through the three stages above.  It passes an instance iff
+the scalar greedy links it in one of its two pair orders, so no verdict,
+witness or count depends on it.  Larger graphs skip it.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .cube import cube_graph
@@ -329,6 +337,115 @@ def _solve_core(adj: Sequence[int], active: int,
     return _solve_dfs(adj, active, pairs, forbidden_mask, budget)
 
 
+# -- batch greedy prefilter ---------------------------------------------------
+#
+# The greedy stage over a whole campaign batch at once, in numpy: row r of
+# the batch arrays holds one instance, each BFS layer is one uint64 mask per
+# row, and frontiers expand through per-byte neighbourhood tables.  It
+# covers graphs on at most 64 vertices and answers exactly what
+# `_greedy_attempt` answers in the pair orders `_solve_core` tries.
+
+
+@functools.lru_cache(maxsize=32)
+def _byte_tables(adj: tuple[int, ...]):
+    """A graph on at most 64 vertices as numpy arrays: its adjacency rows
+    as uint64 masks, and its per-byte neighbourhood tables, in which row b,
+    column x is the union of adj[8b + i] over the bits i of x."""
+    import numpy as np
+    nb = (len(adj) + 7) // 8
+    padded = adj + (0,) * (8 * nb - len(adj))
+    tables = np.zeros((nb, 256), dtype=np.uint64)
+    for b in range(nb):
+        row = [0] * 256
+        for x in range(1, 256):
+            low = x & -x
+            row[x] = row[x ^ low] | padded[8 * b + low.bit_length() - 1]
+        tables[b] = row
+    return np.array(adj, dtype=np.uint64), tables
+
+
+def _expand(tables, layer):
+    """Per row, the union of the neighbourhoods of the vertices in `layer`."""
+    import numpy as np
+    by = layer.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    nxt = tables[0].take(by[:, 0])
+    for b in range(1, len(tables)):
+        nxt |= tables[b].take(by[:, b])
+    return nxt
+
+
+def _bfs_rows(adj_arr, tables, s, t, allowed, want_path: bool):
+    """`_bfs_path` for each row of the uint64 arrays s, t and allowed:
+    which rows find a path, and with `want_path` each path's interior as a
+    mask, read back through the layers by the same least-id rule."""
+    import numpy as np
+    one = np.uint64(1)
+    layer = one << s
+    goal = adj_arr[t]
+    rest = allowed & ~(layer | (one << t))
+    found = (layer & goal) != 0
+    layer[found] = 0                  # a row stops at the layer meeting t
+    layers = []
+    while layer.any():
+        layer = _expand(tables, layer) & rest
+        rest ^= layer
+        layers.append(layer)
+        hit = (layer & goal) != 0
+        found |= hit
+        layer = np.where(hit, np.uint64(0), layer)
+    if not want_path:
+        return found, None
+    # a row's layers past its last one are empty, so its walk back starts
+    # at its own last layer; rows that never met t never leave t
+    v = t
+    inner = np.zeros_like(allowed)
+    for layer in reversed(layers):
+        back = layer & adj_arr[v]
+        low = back & -back
+        inner |= low
+        v = np.where(low != 0, np.bitwise_count(low - one), v)
+    return found, inner
+
+
+def _greedy_rows(adj_arr, tables, active, src, dst, used, order):
+    """Indices of the rows whose pairs greedy routes in `order`; `used`
+    holds each row's terminals and forbidden vertices."""
+    import numpy as np
+    live = np.arange(len(used))
+    for step, i in enumerate(order):
+        last = step == len(order) - 1
+        found, inner = _bfs_rows(adj_arr, tables, src[live, i], dst[live, i],
+                                 active & ~used, not last)
+        live = live[found]
+        if not last:
+            used = (used | inner)[found]
+    return live
+
+
+def _greedy_passes(adj: tuple[int, ...], active: int, src, dst, blocked):
+    """Batch form of the greedy stage of `_solve_core`.  src and dst are
+    (B, k) uint64 arrays of pair ends and blocked the (B,) forbidden
+    masks; row r passes iff `_greedy_attempt` routes the pairs
+    zip(src[r], dst[r]) in the forward order or, for k > 1, the reversed
+    one.  The reversed order reruns only the rows the forward one failed.
+    Needs len(adj) <= 64."""
+    import numpy as np
+    adj_arr, tables = _byte_tables(adj)
+    one = np.uint64(1)
+    used = blocked | np.bitwise_or.reduce((one << src) | (one << dst),
+                                          axis=1)
+    active = np.uint64(active)
+    k = src.shape[1]
+    ok = np.zeros(len(used), dtype=bool)
+    ok[_greedy_rows(adj_arr, tables, active, src, dst, used,
+                    range(k))] = True
+    if k > 1:
+        rows = np.flatnonzero(~ok)
+        ok[rows[_greedy_rows(adj_arr, tables, active, src[rows], dst[rows],
+                             used[rows], range(k - 1, -1, -1))]] = True
+    return ok
+
+
 def solve_linkage(p: LinkageProblem,
                   budget: int = DEFAULT_BUDGET) -> Optional[Linkage]:
     """A valid linkage for p, or None when none exists.  Complete for the
@@ -414,18 +531,15 @@ def _linked_instances(vertex_ids: Sequence[int], k: int,
 
 def _sampled_instances(vertex_ids: Sequence[int], k: int, strong: bool,
                        n: int, seed: int) -> Iterator[Instance]:
-    rng = random.Random(seed)
+    sample = random.Random(seed).sample
     size = 2 * k + (1 if strong else 0)
+    lead = 1 if strong else 0          # the forbidden vertex is drawn first
     ids = list(vertex_ids)
     for _ in range(n):
-        chosen = rng.sample(ids, size)
-        if strong:
-            x, rest = chosen[0], chosen[1:]
-        else:
-            x, rest = None, chosen
-        pr = tuple(sorted(tuple(sorted(rest[2 * i:2 * i + 2]))
-                          for i in range(k)))
-        yield (tuple(sorted(chosen)), (x,) if strong else (), pr)
+        chosen = sample(ids, size)
+        ends = iter(chosen[lead:])
+        pr = sorted([(a, b) if a < b else (b, a) for a, b in zip(ends, ends)])
+        yield (tuple(sorted(chosen)), tuple(chosen[:lead]), tuple(pr))
 
 
 # -- verification campaigns ---------------------------------------------------
@@ -511,10 +625,32 @@ class _LinkedCheck:
             return inst
         return None
 
+    def passes(self, batch: list[Instance]):
+        """The batch prefilter: a bool array marking the instances greedy
+        links, each of which the call above passes too.  None when the
+        graph has more than 64 vertices or the instances do not all have
+        the same number of pairs."""
+        if len(self.adj) > 64:
+            return None
+        import numpy as np
+        prs = list(map(itemgetter(2), batch))
+        k = len(prs[0])
+        if any(len(pr) != k for pr in prs):
+            return None
+        flat = itertools.chain.from_iterable
+        ends = np.fromiter(flat(flat(prs)), dtype=np.uint64,
+                           count=2 * k * len(batch))
+        ends = ends.reshape(len(batch), k, 2)
+        forbs = [inst[1] for inst in batch]
+        blocked = (np.array([mask_of(f) for f in forbs], dtype=np.uint64)
+                   if any(forbs) else np.zeros(len(batch), dtype=np.uint64))
+        return _greedy_passes(self.adj, self.active, ends[:, :, 0],
+                              ends[:, :, 1], blocked)
+
 
 # -- the campaign engine --------------------------------------------------------
 
-CAMPAIGN_BATCH = 200         # instances per batch, the unit of work of a job
+CAMPAIGN_BATCH = 1000        # instances per batch, the unit of work of a job
 PROGRESS_EVERY = 100000      # instances between progress callbacks
 
 
@@ -531,18 +667,24 @@ class CampaignRun:
 
 def _run_batch(check: Callable[[Any, dict], Any],
                batch: list) -> CampaignRun:
-    """Check one batch in order, stopping at its first witness.  Router
-    branches are counted in a fresh linker.BRANCH_COUNTER; the previous
-    counter is put back afterwards."""
+    """Check one batch in order, stopping at its first witness.  The rows
+    the check's `passes` prefilter marks are counted without a call.
+    Router branches are counted in a fresh linker.BRANCH_COUNTER; the
+    previous counter is put back afterwards."""
     from . import linker        # linker imports oracle at module level
     out = CampaignRun()
+    prefilter = getattr(check, "passes", None)
+    passed = prefilter(batch) if prefilter is not None else None
+    todo = (range(len(batch)) if passed is None
+            else (~passed).nonzero()[0].tolist())
+    out.checked = len(batch)
     saved = linker.BRANCH_COUNTER
     linker.BRANCH_COUNTER = out.branches
     try:
-        for inst in batch:
-            out.checked += 1
-            out.witness = check(inst, out.tally)
+        for i in todo:
+            out.witness = check(batch[i], out.tally)
             if out.witness is not None:
+                out.checked = i + 1
                 break
     finally:
         linker.BRANCH_COUNTER = saved
@@ -553,6 +695,9 @@ def campaign(instances: Iterable, check: Callable[[Any, dict], Any],
              jobs: int = 1, progress=None) -> CampaignRun:
     """Run `check(inst, tally)` over a stream of instances; it returns None
     on a pass and a witness otherwise, and may count outcomes in `tally`.
+    A check may also offer `passes(batch)`, a bool array marking instances
+    it would pass without tallying anything (or None); those are counted
+    as checked and not called.
 
     The stream is read lazily, CAMPAIGN_BATCH instances at a time.  With
     jobs > 1 the batches go to a process pool and come back in stream

@@ -286,6 +286,14 @@ def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
         code, _, err = run(capsys, "verify", "--kind", "cube", "--dim", "3",
                            "--check", "k_linked", "--k", "2", "--jobs", jobs)
         assert code == 2 and "--jobs" in err
+    for jobs in ("x", "", "1.5"):
+        monkeypatch.setenv("CUBELINK_JOBS", jobs)
+        for argv in (("inspect", "--dim", "3"),
+                     ("verify", "--kind", "cube", "--dim", "3", "--check",
+                      "k_linked", "--k", "2")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "" and "CUBELINK_JOBS" in err
+    monkeypatch.delenv("CUBELINK_JOBS")
     for check in (("k_linked", "--k", "2"), ("star_lemma",)):
         for samples in ("0", "-5"):
             code, out, err = run(capsys, "verify", "--kind", "cube", "--dim",
@@ -604,11 +612,15 @@ def _report_status(out, fmt):
 
 @settings(max_examples=300, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(_argv())
-def test_argv_fuzz_exit_contract(capsys, monkeypatch, argv):
+@given(_argv(), hst.sampled_from([None, None, "1", "x", "", "1.5", "0"]))
+def test_argv_fuzz_exit_contract(capsys, monkeypatch, argv, env_jobs):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
     monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", no_pool)
+    if env_jobs is None:
+        monkeypatch.delenv("CUBELINK_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("CUBELINK_JOBS", env_jobs)
     try:
         code = main(argv)
     except SystemExit as e:             # argparse rejects the command line

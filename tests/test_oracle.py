@@ -358,7 +358,8 @@ def test_campaign_reads_stream_lazily_and_stops_at_first_witness():
     assert run.checked == 500
     assert run.tally == {"pass": 499}
     assert run.branches == {}
-    assert len(drawn) < 1000
+    # read up to the end of the witness's batch, and no further
+    assert len(drawn) == -(-500 // CAMPAIGN_BATCH) * CAMPAIGN_BATCH
     with pytest.raises(ValueError):
         campaign(iter(()), check, jobs=0)
 
@@ -563,3 +564,124 @@ def test_fast_no_rejections_never_reach_the_dfs(monkeypatch):
         else:
             searched += len(dfs_calls) > before
     assert searched > 0        # the counter does see the search run
+
+
+# -- the batch greedy prefilter -------------------------------------------------
+
+
+def _scalar_greedy(g, pairs, forbidden_mask):
+    k = len(pairs)
+    return any(oracle._greedy_attempt(g.adj, g.active, pairs, forbidden_mask,
+                                      order) is not None
+               for order in (tuple(range(k)), tuple(reversed(range(k)))))
+
+
+def _prefilter_graphs():
+    """Q_3-Q_6, bicube_4/5 and seeded random graphs on 4-64 vertices, a
+    third of them on exactly 64 so that vertex 63 (the top bit) occurs."""
+    yield from (cube_graph(d) for d in (3, 4, 5, 6))
+    yield glued_cubes(4, 2).graph()
+    yield glued_cubes(5, 2).graph()
+    rng = random.Random(20261018)
+    for i in range(90):
+        n = 64 if i % 3 == 0 else rng.randrange(4, 65)
+        yield random_graph(rng, n, rng.uniform(3 / n, 0.35))
+
+
+def test_prefilter_matches_scalar_greedy():
+    rng = random.Random(818)
+    rows = passed = top_bit = 0
+    for g in _prefilter_graphs():
+        k, forbid = rng.randrange(1, 5), rng.randrange(0, 3)
+        probs = [made for made in (random_problem(rng, g, k, forbid)
+                                   for _ in range(120)) if made is not None]
+        if not probs:
+            continue
+        batch = [((), tuple(sorted(f)), pr) for pr, f in probs]
+        check = oracle._LinkedCheck(g.adj, g.active, 10 ** 4)
+        got = check.passes(batch).tolist()
+        want = [_scalar_greedy(g, pr, mask_of(f)) for pr, f in probs]
+        assert got == want
+        rows += len(probs)
+        passed += sum(want)
+        top_bit += sum(63 in {v for p in pr for v in p} | f for pr, f in probs)
+    assert rows > 8000 and 0 < passed < rows and top_bit > 0
+    # a batch mixing pair counts is left to the scalar solver
+    g = cube_graph(3)
+    mixed = [((), (), ((0, 1),)), ((), (), ((0, 3), (5, 6)))]
+    assert oracle._LinkedCheck(g.adj, g.active, 10).passes(mixed) is None
+
+
+def test_prefilter_paths_are_the_scalar_paths():
+    # the batch BFS must hand later pairs exactly the vertices the scalar
+    # greedy path used, so compare each path's interior, not only success
+    import numpy as np
+    rng = random.Random(19)
+    for g in itertools.islice(_prefilter_graphs(), 40):
+        ids = sorted(g.vertices())
+        ends = [rng.sample(ids, 2) for _ in range(200)]
+        allowed = [rng.getrandbits(g.n) & g.active for _ in ends]
+        adj_arr, tables = oracle._byte_tables(g.adj)
+        found, inner = oracle._bfs_rows(
+            adj_arr, tables, np.array([s for s, _ in ends], dtype=np.uint64),
+            np.array([t for _, t in ends], dtype=np.uint64),
+            np.array(allowed, dtype=np.uint64), True)
+        for (s, t), a, f, m in zip(ends, allowed, found.tolist(),
+                                   inner.tolist()):
+            path = oracle._bfs_path(g.adj, s, t, a)
+            assert f == (path is not None)
+            if path is not None:
+                assert m == mask_of(path[1:-1])
+
+
+def _scalar_run(g, insts):
+    """(checked, witness) of a plain _solve_core loop over `insts`."""
+    for i, (subset, forb, pr) in enumerate(insts, 1):
+        if oracle._solve_core(g.adj, g.active, pr, mask_of(forb),
+                              10 ** 7) is None:
+            return i, (subset, forb, pr)
+    return len(insts), None
+
+
+def test_prefilter_keeps_stream_order():
+    """A batch holding prefilter passes, then an unlinked instance, then
+    more instances stops where the scalar loop stops, with its witness;
+    instances greedy misses go through the full solver on the way."""
+    # the graph of test_campaign_decided_by_complete_search: greedy routes
+    # most of its 630 2-pair instances, misses a few linked ones, and 75
+    # are unlinked
+    g = random_graph(random.Random(10), 10, 0.4)
+    insts = list(_linked_instances(sorted(g.vertices()), 2, False))
+    check = oracle._LinkedCheck(g.adj, g.active, 10 ** 7)
+    passed = check.passes(insts)
+    linked = [_scalar_run(g, [inst])[1] is None for inst in insts]
+    greedy = [inst for inst, p in zip(insts, passed) if p]
+    missed = [inst for inst, p, ok in zip(insts, passed, linked)
+              if ok and not p]
+    unlinked = [inst for inst, ok in zip(insts, linked) if not ok]
+    assert greedy and missed and unlinked
+    rng = random.Random(4)
+    for at in (0, 7, CAMPAIGN_BATCH - 1, CAMPAIGN_BATCH, 2 * CAMPAIGN_BATCH
+               + 3):
+        stream = [rng.choice(greedy + missed) for _ in range(at)]
+        stream += [unlinked[at % len(unlinked)]]
+        stream += [rng.choice(insts) for _ in range(CAMPAIGN_BATCH)]
+        run = campaign(iter(stream), check)
+        assert (run.checked, run.witness) == _scalar_run(g, stream) \
+            == (at + 1, unlinked[at % len(unlinked)])
+    stream = [rng.choice(greedy + missed) for _ in range(2500)]
+    run = campaign(iter(stream), check, jobs=2)
+    assert (run.checked, run.witness) == _scalar_run(g, stream) == (2500, None)
+
+
+def test_large_graphs_skip_the_prefilter():
+    g = glued_cubes(6, 2).graph()              # 96 vertices
+    assert g.n > 64
+    ids = sorted(g.vertices())
+    check = oracle._LinkedCheck(g.adj, g.active, 10 ** 7)
+    insts = list(_sampled_instances(ids, 3, False, 1500, seed=6))
+    assert check.passes(insts) is None
+    v = verify_k_linked(g, 3, mode="sampled", samples=1500, seed=6)
+    checked, witness = _scalar_run(g, insts)
+    assert v.status == "sampled_pass" and witness is None
+    assert v.instances_checked == checked == 1500
