@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -39,8 +40,8 @@ from .linker import (ConfigDFRefusal, ProofStepError, StarProblem,
                      detect_config_dF, link_in_polytope, link_in_star,
                      strong_link_even)
 from .oracle import (DEFAULT_BUDGET, Linkage, LinkageProblem,
-                     CampaignRun, SearchBudgetExceeded, campaign, k23_witness,
-                     pairings, solve_linkage, verify_k_linked,
+                     CampaignRun, SearchBudgetExceeded, _batched, campaign,
+                     k23_witness, pairings, solve_linkage, verify_k_linked,
                      verify_strongly_linked)
 
 CHECKS = ("k_linked", "strongly_linked", "lemma6", "separators",
@@ -112,11 +113,11 @@ def _exit_for(status: str) -> int:
     return 0 if status in ("verified", "sampled_pass", "linked") else 1
 
 
-def _run_campaign_check(args, insts, check) -> tuple[dict, CampaignRun]:
-    """Run one campaign check over `insts`; the verdict dict without its
-    detail, and the campaign's counts."""
+def _run_campaign_check(args, batches, check) -> tuple[dict, CampaignRun]:
+    """Run one campaign check over a stream of instance batches; the
+    verdict dict without its detail, and the campaign's counts."""
     t0 = time.perf_counter()
-    run = campaign(insts, check, args.jobs, _progress_instances)
+    run = campaign(batches, check, args.jobs, _progress_instances)
     exhaustive = args.mode == "exhaustive"
     status = ("counterexample" if run.witness is not None else
               "verified" if exhaustive else "sampled_pass")
@@ -319,7 +320,7 @@ def _check_star_lemma(args, spec: InstanceSpec) -> dict:
     insts = (_star_exhaustive(ids, centre, k) if args.mode == "exhaustive"
              else _star_sampled(ids, centre, k, args.samples, args.seed))
     verdict, run = _run_campaign_check(
-        args, insts, _StarCheck(star, centre, args.budget))
+        args, _batched(insts), _StarCheck(star, centre, args.budget))
     verdict["detail"] = {"linked": run.tally.get("linked", 0),
                          "refused": run.tally.get("refused", 0),
                          "branches": dict(sorted(run.branches.items()))}
@@ -415,7 +416,7 @@ class _ConstructCheck:
 
 
 def _check_link_construct(args, spec: InstanceSpec) -> dict:
-    from .oracle import _linked_instances, _sampled_instances
+    from .oracle import _linked_instances, _sampled_batches
     c = build_complex(spec)
     d = c.dim + 1
     if d < 4:
@@ -423,9 +424,11 @@ def _check_link_construct(args, spec: InstanceSpec) -> dict:
     even = d % 2 == 0
     k = d // 2 if even else _default_k(d)
     ids = sorted(c.vertex_ids)
-    insts = (_linked_instances(ids, k, even) if args.mode == "exhaustive"
-             else _sampled_instances(ids, k, even, args.samples, args.seed))
-    verdict, run = _run_campaign_check(args, insts, _ConstructCheck(c, even))
+    batches = (_batched(_linked_instances(ids, k, even))
+               if args.mode == "exhaustive"
+               else _sampled_batches(ids, k, even, args.samples, args.seed))
+    verdict, run = _run_campaign_check(args, batches,
+                                       _ConstructCheck(c, even))
     verdict["detail"] = {"branches": dict(sorted(run.branches.items()))}
     return verdict
 
@@ -434,6 +437,10 @@ def _check_link_construct(args, spec: InstanceSpec) -> dict:
 
 
 def _cmd_verify(args) -> int:
+    if args.symmetry and (args.check not in ("k_linked", "strongly_linked")
+                          or args.mode != "exhaustive"):
+        raise UsageError("--symmetry applies to exhaustive k_linked and "
+                         "strongly_linked checks only")
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     if args.samples < 1:
@@ -712,18 +719,15 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
                    metavar="NODES")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: `main` may run many
+    times in one (as the benchmark and the tests drive it)."""
     ap = argparse.ArgumentParser(
         prog="cubelink",
         description="verify and construct disjoint-path linkages in "
                     "cubical polytopes")
     sub = ap.add_subparsers(dest="command", required=True)
-    raw_jobs = os.environ.get("CUBELINK_JOBS", "1")
-    try:
-        default_jobs = int(raw_jobs)
-    except ValueError:
-        raise UsageError(f"CUBELINK_JOBS must be an integer, "
-                         f"got {raw_jobs!r}") from None
 
     pv = sub.add_parser("verify", help="run a verification campaign")
     _add_instance_flags(pv)
@@ -732,7 +736,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--mode", default="exhaustive",
                     choices=("exhaustive", "sampled"))
     pv.add_argument("--samples", type=int, default=10 ** 5)
-    pv.add_argument("--jobs", type=int, default=default_jobs)
+    pv.add_argument("--jobs", type=int, default=None,
+                    help="worker processes (default: $CUBELINK_JOBS or 1)")
     pv.add_argument("--symmetry", action="store_true",
                     help="sweep canonical orbit representatives only "
                          "(cube instances)")
@@ -754,9 +759,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _env_jobs() -> int:
+    raw = os.environ.get("CUBELINK_JOBS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"CUBELINK_JOBS must be an integer, "
+                         f"got {raw!r}") from None
+
+
 def main(argv=None) -> int:
     try:
+        jobs = _env_jobs()          # checked on every call, for every command
         args = build_parser().parse_args(argv)
+        if getattr(args, "jobs", 1) is None:      # verify without --jobs
+            args.jobs = jobs
         return args.fn(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

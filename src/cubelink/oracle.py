@@ -26,12 +26,21 @@ layer) decides a whole batch of instances, and only those it leaves
 undecided go through the three stages above.  It passes an instance iff
 the scalar greedy links it in one of its two pair orders, so no verdict,
 witness or count depends on it.  Larger graphs skip it.
+
+Sampled campaigns are array-native from the random words on.  Instance i
+of seed S is call number i of `random.Random(S).sample(ids, size)`, but
+the sampler reads the generator's words thousands at a time and decodes
+them in numpy into exactly the picks `sample` makes (see "sampled
+instances" below).  Its batches hold the pair ends and forbidden masks
+as arrays, which the prefilter reads directly; an instance tuple is built
+only for a row the prefilter leaves to the scalar stages, or a witness.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -42,6 +51,8 @@ from .cube import cube_graph
 from .graphs import Graph, bits, connected_within, mask_of
 
 DEFAULT_BUDGET = 10 ** 7
+CAMPAIGN_BATCH = 1000        # instances per batch, the unit of work of a job
+PROGRESS_EVERY = 100000      # instances between progress callbacks
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -529,17 +540,257 @@ def _linked_instances(vertex_ids: Sequence[int], k: int,
                 yield subset, (), pr
 
 
+# -- sampled instances ---------------------------------------------------------
+#
+# A sampled instance is one `random.Random(seed).sample(vertex_ids, size)`
+# call: the forbidden vertex first when strong, then the pair ends two by
+# two.  The sampler makes exactly the picks successive `sample` calls make,
+# from the same Mersenne Twister words, but reads thousands of words per
+# `getrandbits` call and decodes them in numpy.
+#
+# `sample(pop, size)` on n items calls `_randbelow(m)` size times, and
+# `_randbelow(m)` takes one word w per try, keeps r = w >> (32 - b) with
+# b = m.bit_length(), and tries again while r >= m.  It picks by one of
+# two methods:
+#
+# - pool, when n <= setsize: step i draws j = _randbelow(n - i), picks
+#   pool[j] and moves pool[n - i - 1] into the gap.  Most words are kept
+#   at every step or at none, which numpy settles at once; the others go
+#   through a Python pass that counts the steps.  They are 5 in 64 words
+#   on bicube_5 (n = 48, size 6), but nearly half when n is a power of
+#   two, where step 0 reads one bit more than the later steps.  The pool
+#   moves then run across a whole batch of samples at once.
+# - set, otherwise: every step draws j = _randbelow(n) and draws again
+#   while j was picked already in this sample.  The range test is the
+#   same for every word; repeats are rare and resolved per sample.
+#
+# Draws decoded past the end of a batch carry into the next batch, so the
+# batch size never changes the stream.
+
+_WORD_BITS = 32
+
+
+def _setsize(size: int) -> int:
+    """`Random.sample`'s cut-off: it runs the pool method on populations
+    of at most this many items, the set method on larger ones."""
+    out = 21
+    if size > 5:
+        out += 4 ** math.ceil(math.log(size * 3, 4))
+    return out
+
+
+def _read_words(rng: random.Random, count: int):
+    """The next `count` words of rng in the order `getrandbits(32)` calls
+    would return them: getrandbits(32 * count) fills its result from the
+    least significant word up."""
+    import numpy as np
+    raw = rng.getrandbits(_WORD_BITS * count).to_bytes(4 * count, "little")
+    return np.frombuffer(raw, dtype="<u4")
+
+
+class _PoolDraws:
+    """Pool-method draws.  `decode` keeps a word's top `bits` bits when
+    `_randbelow(n - i)` keeps the word, step i being the number of words
+    kept before it mod size; `cut` turns kept words into samples."""
+
+    def __init__(self, n: int, size: int):
+        import numpy as np
+        self.n, self.size = n, size
+        self.bits = n.bit_length()
+        lens = [(n - i).bit_length() for i in range(size)]
+        tops = np.arange(1 << self.bits)
+        # per step i and top bits t: the r of _randbelow, and whether kept
+        self.value = [tops >> (self.bits - b) for b in lens]
+        keep = np.stack(self.value) < (n - np.arange(size))[:, None]
+        self.always = keep.all(axis=0)
+        self.sometimes = keep.any(axis=0) & ~self.always
+        # per t, kept-or-not by step, twice over so a phase needs no mod
+        self.keep_by_step = [col * 2 for col in keep.T.tolist()]
+        self.words_per_draw = sum((1 << b) / (n - i)
+                                  for i, b in enumerate(lens)) / size
+        self.draws_per_sample = size
+        self.step = 0                   # the step of the next word
+
+    def decode(self, words):
+        import numpy as np
+        top = (words >> (_WORD_BITS - self.bits)).astype(np.intp)
+        kept = self.always.take(top)
+        odd = np.flatnonzero(self.sometimes.take(top))
+        if len(odd):
+            # the Python pass over the words whose step decides: a word's
+            # step counts the words kept before it
+            size = self.size
+            steps = ((np.searchsorted(np.flatnonzero(kept), odd) + self.step)
+                     % size).tolist()
+            by_step = self.keep_by_step
+            hits: list[int] = []
+            more = 0                    # odd words kept so far, mod size
+            for p, t, i in zip(odd.tolist(), top[odd].tolist(), steps):
+                if by_step[t][i + more]:
+                    hits.append(p)
+                    more = more + 1 if more + 1 < size else 0
+            kept[hits] = True
+        self.step = (self.step + int(np.count_nonzero(kept))) % self.size
+        return top.compress(kept)
+
+    def cut(self, draws, rows: int):
+        """Up to `rows` samples from `draws`, which starts a sample, as
+        (samples, size) population indices; and the draws they used.  The
+        pool moves run on one flat (samples * n) pool at a time."""
+        import numpy as np
+        n, size = self.n, self.size
+        rows = min(rows, len(draws) // size)
+        tops = draws[:rows * size].reshape(rows, size)
+        base = np.arange(0, rows * n, n)
+        pool = np.tile(np.arange(n), rows)
+        out = np.empty((size, rows), dtype=np.intp)
+        for i in range(size):
+            at = base + self.value[i].take(tops[:, i])
+            out[i] = pool.take(at)
+            pool.put(at, pool.take(base + (n - i - 1)))
+        return out.T, rows * size
+
+
+class _SetDraws:
+    """Set-method draws: every j of `_randbelow(n)` in range, in stream
+    order; a sample takes them until it holds size distinct ones."""
+
+    def __init__(self, n: int, size: int):
+        self.n, self.size = n, size
+        self.bits = n.bit_length()
+        self.words_per_draw = (1 << self.bits) / n
+        self.draws_per_sample = sum(n / (n - i) for i in range(size))
+
+    def decode(self, words):
+        import numpy as np
+        r = (words >> (_WORD_BITS - self.bits)).astype(np.intp)
+        return r.compress(r < self.n)
+
+    def cut(self, draws, rows: int):
+        """As `_PoolDraws.cut`.  A sample whose size draws hold a repeat
+        is rebuilt in Python and the samples after it shift along."""
+        import numpy as np
+        size = self.size
+        clean = len(draws) - size + 1        # windows of size draws
+        if clean <= 0:
+            return np.empty((0, size), dtype=np.intp), 0
+        # clean[p]: the size draws from p hold no repeat
+        ok = np.ones(clean, dtype=bool)
+        for a in range(1, size):
+            for b in range(a):
+                ok &= draws[a:a + clean] != draws[b:b + clean]
+        ok = ok.tolist()
+        starts: list[int] = []
+        fixed = []
+        p = 0
+        vals = None
+        while len(starts) < rows:
+            if p < clean and ok[p]:
+                starts.append(p)
+                p += size
+                continue
+            if vals is None:
+                vals = draws.tolist()
+            seen: list[int] = []
+            q = p
+            while len(seen) < size and q < len(vals):
+                if vals[q] not in seen:
+                    seen.append(vals[q])
+                q += 1
+            if len(seen) < size:
+                break                       # the draws run out mid-sample
+            fixed.append((len(starts), seen))
+            starts.append(p)
+            p = q
+        out = draws[np.add.outer(np.array(starts, dtype=np.intp),
+                                 np.arange(size))]
+        for row, seen in fixed:
+            out[row] = seen
+        return out, p
+
+
+def _sample_rows(n: int, size: int, count: int, seed: int,
+                 per_batch: int = CAMPAIGN_BATCH):
+    """The picks of `count` successive `random.Random(seed).sample(pop,
+    size)` calls on a population of n items, as index arrays of shape
+    (rows, size), per_batch rows each except perhaps the last."""
+    import numpy as np
+    if not 0 <= size <= n:
+        raise ValueError("Sample larger than population or is negative")
+    wants = [min(per_batch, count - first)
+             for first in range(0, count, per_batch)]
+    if size == 0:                      # sample() reads no word at all
+        yield from (np.empty((want, 0), dtype=np.intp) for want in wants)
+        return
+    method = (_PoolDraws if n <= _setsize(size) else _SetDraws)(n, size)
+    rng = random.Random(seed)
+    draws = np.empty(0, dtype=np.intp)
+    for want in wants:
+        while True:
+            rows, used = method.cut(draws, want)
+            if len(rows) == want:
+                break
+            short = ((want - len(rows)) * method.draws_per_sample * 1.03
+                     + 2 * size - (len(draws) - used))
+            words = math.ceil(max(short, size) * method.words_per_draw) + 16
+            draws = np.concatenate([draws, method.decode(
+                _read_words(rng, words))])
+        draws = draws[used:]
+        yield rows
+
+
+class _SampledBatch:
+    """Sampled instances as arrays, one row each, for the campaign engine:
+    `chosen` holds the picked vertices in draw order, `src` and `dst` the
+    pairs as (rows, k) uint64 arrays with src < dst in each pair and the
+    pairs sorted, and `blocked` the forbidden-vertex masks (None when a
+    vertex id is 64 or more).  `batch[i]` is the instance tuple of row i,
+    built only when asked for."""
+
+    def __init__(self, chosen, lead: int):
+        import numpy as np
+        self.chosen, self.lead = chosen, lead
+        # a pair as one key, src in the high half, so that sorting a row
+        # of keys sorts its pairs (vertex ids are far below 2^32)
+        a = chosen[:, lead::2].astype(np.uint64)
+        b = chosen[:, lead + 1::2].astype(np.uint64)
+        half = np.uint64(32)
+        key = np.sort((np.minimum(a, b) << half) | np.maximum(a, b), axis=1)
+        self.src = key >> half
+        self.dst = key & np.uint64(0xFFFFFFFF)
+        self.blocked = None
+        if not chosen.size or chosen.max() < 64:
+            self.blocked = np.bitwise_or.reduce(
+                np.uint64(1) << chosen[:, :lead].astype(np.uint64), axis=1)
+
+    def __len__(self) -> int:
+        return len(self.chosen)
+
+    def __getitem__(self, i: int) -> Instance:
+        row = self.chosen[i].tolist()
+        return (tuple(sorted(row)), tuple(row[:self.lead]),
+                tuple(zip(self.src[i].tolist(), self.dst[i].tolist())))
+
+
+def _sampled_batches(vertex_ids: Sequence[int], k: int, strong: bool,
+                     n: int, seed: int, per_batch: int = CAMPAIGN_BATCH
+                     ) -> Iterator[_SampledBatch]:
+    """n seeded instances: row r is `random.Random(seed).sample(vertex_ids,
+    2k + strong)` call number r, with the forbidden vertex first when
+    strong, as `_SampledBatch`es of per_batch rows (the last may hold
+    fewer)."""
+    import numpy as np
+    ids = np.array(vertex_ids, dtype=np.int64)
+    size = 2 * k + (1 if strong else 0)
+    for rows in _sample_rows(len(ids), size, n, seed, per_batch):
+        yield _SampledBatch(ids[rows], 1 if strong else 0)
+
+
 def _sampled_instances(vertex_ids: Sequence[int], k: int, strong: bool,
                        n: int, seed: int) -> Iterator[Instance]:
-    sample = random.Random(seed).sample
-    size = 2 * k + (1 if strong else 0)
-    lead = 1 if strong else 0          # the forbidden vertex is drawn first
-    ids = list(vertex_ids)
-    for _ in range(n):
-        chosen = sample(ids, size)
-        ends = iter(chosen[lead:])
-        pr = sorted([(a, b) if a < b else (b, a) for a, b in zip(ends, ends)])
-        yield (tuple(sorted(chosen)), tuple(chosen[:lead]), tuple(pr))
+    """The instances of `_sampled_batches`, one after another."""
+    return itertools.chain.from_iterable(
+        _sampled_batches(vertex_ids, k, strong, n, seed))
 
 
 # -- verification campaigns ---------------------------------------------------
@@ -595,11 +846,14 @@ def _verify(g: Graph, k: int, mode: str, symmetry: Optional[int],
             detail = dict(orbit_info)
         else:
             insts = _linked_instances(ids, k, strong)
+        batches = _batched(insts)
     elif mode == "sampled":
-        insts = _sampled_instances(ids, k, strong, samples, seed)
+        if symmetry is not None:
+            raise ValueError("symmetry applies to exhaustive mode only")
+        batches = _sampled_batches(ids, k, strong, samples, seed)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    run = campaign(insts, _LinkedCheck(g.adj, g.active, budget), jobs,
+    run = campaign(batches, _LinkedCheck(g.adj, g.active, budget), jobs,
                    progress)
     ms = int((time.perf_counter() - t0) * 1000)
     if run.witness is not None:
@@ -625,13 +879,17 @@ class _LinkedCheck:
             return inst
         return None
 
-    def passes(self, batch: list[Instance]):
+    def passes(self, batch: Sequence[Instance]):
         """The batch prefilter: a bool array marking the instances greedy
         links, each of which the call above passes too.  None when the
         graph has more than 64 vertices or the instances do not all have
-        the same number of pairs."""
+        the same number of pairs.  A `_SampledBatch` hands over its
+        arrays; a list of instance tuples is read into arrays here."""
         if len(self.adj) > 64:
             return None
+        if isinstance(batch, _SampledBatch):
+            return _greedy_passes(self.adj, self.active, batch.src,
+                                  batch.dst, batch.blocked)
         import numpy as np
         prs = list(map(itemgetter(2), batch))
         k = len(prs[0])
@@ -650,9 +908,6 @@ class _LinkedCheck:
 
 # -- the campaign engine --------------------------------------------------------
 
-CAMPAIGN_BATCH = 1000        # instances per batch, the unit of work of a job
-PROGRESS_EVERY = 100000      # instances between progress callbacks
-
 
 @dataclass
 class CampaignRun:
@@ -666,7 +921,7 @@ class CampaignRun:
 
 
 def _run_batch(check: Callable[[Any, dict], Any],
-               batch: list) -> CampaignRun:
+               batch: Sequence) -> CampaignRun:
     """Check one batch in order, stopping at its first witness.  The rows
     the check's `passes` prefilter marks are counted without a call.
     Router branches are counted in a fresh linker.BRANCH_COUNTER; the
@@ -691,23 +946,29 @@ def _run_batch(check: Callable[[Any, dict], Any],
     return out
 
 
-def campaign(instances: Iterable, check: Callable[[Any, dict], Any],
-             jobs: int = 1, progress=None) -> CampaignRun:
-    """Run `check(inst, tally)` over a stream of instances; it returns None
-    on a pass and a witness otherwise, and may count outcomes in `tally`.
-    A check may also offer `passes(batch)`, a bool array marking instances
-    it would pass without tallying anything (or None); those are counted
-    as checked and not called.
+def _batched(instances: Iterable) -> Iterator[list]:
+    """A stream of instances as lists of CAMPAIGN_BATCH, read lazily."""
+    it = iter(instances)
+    return iter(lambda: list(itertools.islice(it, CAMPAIGN_BATCH)), [])
 
-    The stream is read lazily, CAMPAIGN_BATCH instances at a time.  With
-    jobs > 1 the batches go to a process pool and come back in stream
-    order, so the result is the same for every job count: the first
-    witness in stream order wins, and every count stops at it.
+
+def campaign(batches: Iterable[Sequence], check: Callable[[Any, dict], Any],
+             jobs: int = 1, progress=None) -> CampaignRun:
+    """Run `check(inst, tally)` over a stream of instances, given as a
+    stream of batches (sequences of instances, CAMPAIGN_BATCH each but
+    perhaps the last; see `_batched`).  The check returns None on a pass
+    and a witness otherwise, and may count outcomes in `tally`.  It may
+    also offer `passes(batch)`, a bool array marking instances it would
+    pass without tallying anything (or None); those are counted as
+    checked and not called.
+
+    Batches are read lazily.  With jobs > 1 they go to a process pool and
+    come back in stream order, so the result is the same for every job
+    count: the first witness in stream order wins, and every count stops
+    at it.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    it = iter(instances)
-    batches = iter(lambda: list(itertools.islice(it, CAMPAIGN_BATCH)), [])
     if jobs == 1:
         return _collect((_run_batch(check, b) for b in batches), progress)
     import multiprocessing

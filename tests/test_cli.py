@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import multiprocessing.pool
+import os
+import subprocess
+import sys
 
 
 from hypothesis import HealthCheck, given, settings
@@ -294,6 +297,21 @@ def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == "" and "CUBELINK_JOBS" in err
     monkeypatch.delenv("CUBELINK_JOBS")
+    # --symmetry sweeps orbits of exhaustive linkedness campaigns only;
+    # anywhere else it would be ignored, so it is refused
+    for argv in (("--dim", "4", "--check", "k_linked", "--k", "2",
+                  "--mode", "sampled", "--samples", "50"),
+                 ("--dim", "4", "--check", "strongly_linked", "--k", "2",
+                  "--mode", "sampled", "--samples", "50"),
+                 ("--dim", "5", "--check", "star_lemma", "--mode",
+                  "sampled", "--samples", "50"),
+                 ("--dim", "5", "--check", "link_construct", "--mode",
+                  "sampled", "--samples", "50"),
+                 ("--dim", "3", "--check", "lemma6")):
+        code, out, err = run(capsys, "verify", "--kind", "cube", *argv,
+                             "--symmetry")
+        assert code == 2 and out == "" and "--symmetry" in err
+        assert err.startswith("error: ")
     for check in (("k_linked", "--k", "2"), ("star_lemma",)):
         for samples in ("0", "-5"):
             code, out, err = run(capsys, "verify", "--kind", "cube", "--dim",
@@ -463,6 +481,30 @@ def test_jobs_flag_parallel_verify(capsys):
         assert reports[0] == reports[1]
         if "k_linked" not in argv:
             assert reports[0]["verdict"]["detail"]["branches"]
+
+
+def test_sampled_witness_same_at_every_job_count(capsys):
+    # checked and witness as the one-sample-per-call generator gave them
+    for seed, checked, pairs in (("0", 6, [[4, 7], [5, 6]]),
+                                 ("1", 60, [[0, 3], [1, 2]])):
+        for jobs in ("1", "2"):
+            code, rep = run_json(capsys, "verify", "--kind", "cube", "--dim",
+                                 "3", "--check", "k_linked", "--k", "2",
+                                 "--mode", "sampled", "--samples", "5000",
+                                 "--seed", seed, "--jobs", jobs)
+            v = rep["verdict"]
+            assert code == 1 and v["status"] == "counterexample"
+            assert (v["checked"], v["witness"]["pairs"]) == (checked, pairs)
+
+
+def test_cli_import_leaves_numpy_out():
+    # numpy is imported on first use, so that a command that needs none
+    # (and every process's start-up) does not pay for it
+    code = ("import sys, cubelink.cli, cubelink.oracle; "
+            "sys.exit('numpy' in sys.modules)")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 _JUNK = (hst.none() | hst.booleans() | hst.floats(allow_nan=False)

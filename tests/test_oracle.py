@@ -4,6 +4,7 @@ import json
 import random
 import time
 
+import hypothesis
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -27,6 +28,7 @@ from cubelink.oracle import (
     LinkageProblem,
     SearchBudgetExceeded,
     Verdict,
+    _batched,
     _linked_instances,
     _sampled_instances,
     campaign,
@@ -251,6 +253,109 @@ def test_sampled_instances_stream_pinned():
         "43232497025b4959d6b7408bc5a7543b41c8e0ae9c0a68befaa852ea8a127c5a")
 
 
+def _sample_instances_reference(ids, k, strong, n, seed):
+    """The sampled stream as `random.Random(seed).sample` draws it, one
+    call per instance."""
+    sample = random.Random(seed).sample
+    size = 2 * k + (1 if strong else 0)
+    lead = 1 if strong else 0
+    for _ in range(n):
+        chosen = sample(ids, size)
+        ends = iter(chosen[lead:])
+        pr = sorted(tuple(sorted(p)) for p in zip(ends, ends))
+        yield (tuple(sorted(chosen)), tuple(chosen[:lead]), tuple(pr))
+
+
+@hst.composite
+def _sample_case(draw):
+    """(ids, size, count, seed, per_batch): ids 1-130 distinct vertex
+    ids, sorted but with gaps, and a sample size of at most min(n, 9)."""
+    n = draw(hst.integers(1, 130))
+    gaps = draw(hst.lists(hst.integers(1, 40), min_size=n, max_size=n))
+    ids = list(itertools.accumulate(gaps))
+    return (ids, draw(hst.integers(0, min(n, 9))), draw(hst.integers(0, 700)),
+            draw(hst.integers(0, 2 ** 64)), draw(hst.integers(1, 300)))
+
+
+@settings(max_examples=250, deadline=None, database=None)
+@given(_sample_case())
+def test_sampled_batches_match_random_sample(case):
+    ids, size, count, seed, per_batch = case
+    method = "pool" if len(ids) <= oracle._setsize(size) else "set"
+    hypothesis.event(f"{method} method")
+    rng = random.Random(seed)
+    k, strong = divmod(size, 2)
+    got = list(oracle._sampled_batches(ids, k, bool(strong), count, seed,
+                                       per_batch))
+    assert [len(b) for b in got] == [min(per_batch, count - i)
+                                     for i in range(0, count, per_batch)]
+    rows = [row for b in got for row in b.chosen.tolist()]
+    assert rows == [rng.sample(ids, size) for _ in range(count)]
+    want = list(_sample_instances_reference(ids, k, bool(strong), count,
+                                            seed))
+    assert [b[i] for b in got for i in range(len(b))] == want
+    assert list(oracle._sampled_instances(ids, k, bool(strong), count,
+                                          seed)) == want
+
+
+def test_sampled_batches_cover_both_methods():
+    # Random.sample's cut-off between its methods, on either side: n = 21
+    # and 85 run the pool, n = 22 and 86 the set, and n = 130 with k = 2
+    # and a mostly rejected range test (b = 8 bits for 130 ids)
+    for n, size in ((21, 5), (22, 5), (85, 9), (86, 9), (130, 4), (64, 7),
+                    (8, 1), (1, 1), (96, 6)):
+        ids = list(range(3, 3 * n + 3, 3))
+        for seed in (0, 1, 2 ** 40):
+            rng = random.Random(seed)
+            want = [rng.sample(ids, size) for _ in range(2100)]
+            got = [row for b in oracle._sampled_batches(
+                ids, size // 2, bool(size % 2), 2100, seed)
+                for row in b.chosen.tolist()]
+            assert got == want, (n, size, seed)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(hst.integers(1, 130), hst.integers(1, 9), hst.integers(0, 2 ** 32),
+       hst.lists(hst.integers(0, 3000), max_size=6))
+def test_pool_words_decode_across_block_ends(n, size, seed, cuts):
+    # a block of words may end anywhere inside a sample: decoding it in
+    # pieces with the step carried over gives the draws of one block
+    size = min(size, n)
+    words = oracle._read_words(random.Random(seed), 3000)
+    whole = oracle._PoolDraws(n, size).decode(words)
+    pieces = oracle._PoolDraws(n, size)
+    ends = [0, *sorted(cuts), len(words)]
+    got = [pieces.decode(words[a:b]) for a, b in zip(ends, ends[1:])]
+    assert sum(map(list, got), []) == whole.tolist()
+
+
+def test_sampled_batch_pickles():
+    import pickle
+    ids = sorted(glued_cubes(4, 2).graph().vertices())
+    for k, strong in ((2, True), (2, False)):
+        batch = next(oracle._sampled_batches(ids, k, strong, 300, seed=8))
+        back = pickle.loads(pickle.dumps(batch))
+        assert [back[i] for i in range(len(back))] == list(batch) \
+            == [batch[i] for i in range(len(batch))]
+        assert (back.blocked == batch.blocked).all()
+
+
+def test_sampled_campaign_keeps_stream_order():
+    # Q_5 without vertex 0 (ids 1..31) is not 3-linked, but unlinked
+    # samples are rare: the first one lies thousands of instances deep.
+    # checked and witness as the one-sample-per-call generator gave them.
+    g = cube_graph(5).without([0])
+    for seed, checked, pairs in ((1, 10984, ((8, 14), (9, 10), (12, 24))),
+                                 (2, 7867, ((1, 11), (3, 17), (5, 9)))):
+        for jobs in (1, 2):
+            v = verify_k_linked(g, 3, mode="sampled", samples=20000,
+                                seed=seed, jobs=jobs)
+            assert v.status == "counterexample"
+            assert (v.instances_checked, v.witness.pairs) == (checked, pairs)
+    with pytest.raises(ValueError, match="exhaustive"):
+        verify_k_linked(cube_graph(4), 2, mode="sampled", symmetry=4)
+
+
 def test_verify_k_linked_small():
     v = verify_k_linked(cube_graph(3), 2)
     assert v.status == "counterexample"
@@ -353,7 +458,7 @@ def test_campaign_reads_stream_lazily_and_stops_at_first_witness():
         tally["pass"] = tally.get("pass", 0) + 1
         return None
 
-    run = campaign(stream(), check)
+    run = campaign(_batched(stream()), check)
     assert run.witness == ("odd one", 499)
     assert run.checked == 500
     assert run.tally == {"pass": 499}
@@ -361,7 +466,7 @@ def test_campaign_reads_stream_lazily_and_stops_at_first_witness():
     # read up to the end of the witness's batch, and no further
     assert len(drawn) == -(-500 // CAMPAIGN_BATCH) * CAMPAIGN_BATCH
     with pytest.raises(ValueError):
-        campaign(iter(()), check, jobs=0)
+        campaign(_batched(()), check, jobs=0)
 
 
 def test_campaign_sums_router_branches_over_batches(monkeypatch):
@@ -372,7 +477,7 @@ def test_campaign_sums_router_branches_over_batches(monkeypatch):
         linker._mark("step")
         return None
 
-    run = campaign(range(2 * CAMPAIGN_BATCH + 50), check)
+    run = campaign(_batched(range(2 * CAMPAIGN_BATCH + 50)), check)
     assert run.checked == 2 * CAMPAIGN_BATCH + 50
     assert run.witness is None
     assert run.branches == {"step": 2 * CAMPAIGN_BATCH + 50}
@@ -666,11 +771,11 @@ def test_prefilter_keeps_stream_order():
         stream = [rng.choice(greedy + missed) for _ in range(at)]
         stream += [unlinked[at % len(unlinked)]]
         stream += [rng.choice(insts) for _ in range(CAMPAIGN_BATCH)]
-        run = campaign(iter(stream), check)
+        run = campaign(_batched(stream), check)
         assert (run.checked, run.witness) == _scalar_run(g, stream) \
             == (at + 1, unlinked[at % len(unlinked)])
     stream = [rng.choice(greedy + missed) for _ in range(2500)]
-    run = campaign(iter(stream), check, jobs=2)
+    run = campaign(_batched(stream), check, jobs=2)
     assert (run.checked, run.witness) == _scalar_run(g, stream) == (2500, None)
 
 
