@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from conftest import brute_min_vertex_cut, has_set_path, random_graph
+from cubelink.complexes import facet_ridge_path, vertex_star
 from cubelink.cube import cube_graph
+from cubelink.generators import cube_boundary, glued_cubes
 from cubelink.graphs import (Graph, bfs_distances, bits, components,
                              connected_within, disjoint_paths,
                              graph_from_edges, local_connectivity, mask_of,
@@ -227,3 +229,58 @@ def test_disjoint_paths_output_pinned():
     # split node, built ascending) that the implicit residual replaced
     assert _flow_digest() == (
         "4f4370c7c5b5a2a298c0b75f5f1a29c6b9fe74c7924e1eecad5890d942b94041")
+
+
+def _pinned_bfs_complexes():
+    """Q_5, bicube_5 and one vertex star of each."""
+    q5, b5 = cube_boundary(5), glued_cubes(5, 2)
+    return (q5, b5, vertex_star(q5, 0), vertex_star(b5, 16))
+
+
+def _bfs_digest() -> str:
+    """sha256 over seeded shortest_path, bfs_distances and reachable_mask
+    calls on the complexes' graphs and random graphs (single and
+    multi-vertex targets, src outside `allowed`, src in the targets), then
+    over facet_ridge_path for every ordered facet pair of each complex,
+    with no avoided facet and with each other facet avoided in turn."""
+    cs = _pinned_bfs_complexes()
+    graphs = [c.graph() for c in cs]
+    rng = random.Random(20210)
+    h = hashlib.sha256()
+    for i in range(4000):
+        if i % 5 == 4:
+            g = random_graph(rng, rng.randrange(2, 40), rng.uniform(0.05, 0.4))
+        else:
+            g = graphs[i % 4]
+        ids = list(bits(g.active))
+        src = rng.choice(ids)
+        targets = mask_of(rng.sample(ids, rng.randrange(1, min(len(ids), 5)
+                                                       + 1)))
+        if i % 6 == 0:
+            targets |= 1 << src
+        allowed = (None if i % 7 == 0 else
+                   mask_of(v for v in ids if rng.random() < 0.75))
+        got = [shortest_path(g, src, targets, allowed),
+               sorted(bfs_distances(g, 1 << src, allowed).items()),
+               sorted(bfs_distances(g, targets, allowed).items()),
+               reachable_mask(g, targets, allowed)]
+        h.update(json.dumps(got).encode())
+        h.update(b"\n")
+    for c in cs:
+        tops = c.facets()
+        for a in tops:
+            for b in tops:
+                h.update(json.dumps(facet_ridge_path(c, a, b)).encode())
+                for x in tops:
+                    if x not in (a, b):
+                        h.update(json.dumps(
+                            facet_ridge_path(c, a, b, avoid=(x,))).encode())
+                h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_bfs_outputs_pinned():
+    # recorded with one hand-written BFS per function (parent-dict BFS in
+    # shortest_path and facet_ridge_path, layer masks in the other two)
+    assert _bfs_digest() == (
+        "8f0c18e9503c0f5c5ade96c6d544182d231b5a5ceba52674e339c59e9e268162")
