@@ -639,7 +639,6 @@ def _cmd_bench(args) -> int:
     c = build_complex(spec)
     g = c.graph()
     d = c.dim + 1
-    rng = random.Random(args.seed)
     ids = sorted(c.vertex_ids)
     n = max(1, min(args.samples, 2000))
     marks: dict = {}
@@ -652,16 +651,13 @@ def _cmd_bench(args) -> int:
         marks[name] = {"ops": reps, "elapsed_ms": int(dt * 1000),
                        "per_sec": round(reps / dt, 1) if dt else None}
 
-    k = _default_k(d) if d % 2 else d // 2
-    insts = []
-    for _ in range(n):
-        ch = rng.sample(ids, 2 * k)
-        insts.append(tuple(sorted(tuple(sorted(ch[2 * i:2 * i + 2]))
-                                  for i in range(k))))
-    it = iter(insts)
+    from .oracle import _sampled_instances, menger_paths
+    even = d % 2 == 0
+    k = d // 2 if even else _default_k(d)
+    insts = iter(list(_sampled_instances(ids, k, False, n, args.seed)))
     clock("solve_linkage",
-          lambda: solve_linkage(LinkageProblem(g, next(it))), n)
-    from .oracle import menger_paths
+          lambda: solve_linkage(LinkageProblem(g, next(insts)[2])), n)
+    rng = random.Random(args.seed)
     triples = [(rng.choice(ids), rng.choice(ids)) for _ in range(n)]
     it2 = iter(triples)
 
@@ -674,27 +670,15 @@ def _cmd_bench(args) -> int:
     clock("menger_paths", one_menger, n)
     if d >= 4:
         m = min(n, 500)
-        insts3 = []
-        for _ in range(m):
-            if d % 2:
-                ch = rng.sample(ids, d + 1)
-                pr = tuple(sorted(tuple(sorted(ch[2 * i:2 * i + 2]))
-                                  for i in range(_default_k(d))))
-                insts3.append((None, ch, pr))
-            else:
-                ch = rng.sample(ids, d + 1)
-                avoid = ch[0]
-                pr = tuple(sorted(tuple(sorted(ch[1 + 2 * i:3 + 2 * i]))
-                                  for i in range(d // 2)))
-                insts3.append((avoid, ch, pr))
-        it3 = iter(insts3)
+        # the instance shapes of the link_construct check
+        routes = iter(list(_sampled_instances(ids, k, even, m, args.seed)))
 
         def one_route():
-            avoid, ch, pr = next(it3)
-            if avoid is None:
-                link_in_polytope(c, ch, pr)
+            subset, forb, pr = next(routes)
+            if even:
+                strong_link_even(c, list(subset), pr, forb[0])
             else:
-                strong_link_even(c, ch, pr, avoid)
+                link_in_polytope(c, list(subset), pr)
         clock("construct_linkage", one_route, m)
     report = {"command": "bench", "instance": _spec_dict(spec),
               "seed": args.seed, "benchmarks": marks}

@@ -29,7 +29,8 @@ from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
 
 from .cube import CubeFace
 from .graphs import (Graph, bfs_distances, bits, connected_within,
-                     graph_from_edges, mask_of, vertex_connectivity)
+                     graph_from_edges, mask_of, shortest_path,
+                     vertex_connectivity)
 
 
 class ComplexError(ValueError):
@@ -350,8 +351,14 @@ def complex_from_json_dict(data: dict) -> PolytopalComplex:
 
 
 def load_complex(path: str) -> PolytopalComplex:
-    with open(path) as fh:
-        return complex_from_json_dict(json.load(fh))
+    """The complex in a json file; an unreadable file is a ValueError, as
+    is a malformed one."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as e:
+        raise ValueError(f"cannot read complex file: {e}") from None
+    return complex_from_json_dict(data)
 
 
 # -- subcomplex operations ---------------------------------------------------
@@ -414,14 +421,12 @@ def vertex_star(c: PolytopalComplex, v: int) -> PolytopalComplex:
 
 
 def _dual_graph(c: PolytopalComplex) -> tuple[dict[tuple[int, int], FaceHandle],
-                                              list[list[int]]]:
+                                              Graph]:
     """The facet-ridge dual graph, memoized on c: the shared ridge of each
     facet pair (index a < index b) whose intersection is a ridge of the
-    complex, and every facet's neighbours in ascending index."""
+    complex, and the dual as a `Graph` on the facet indices."""
     def build():
         edges: dict[tuple[int, int], FaceHandle] = {}
-        k = len(c.faces[-1]) if c.faces else 0
-        adj: list[list[int]] = [[] for _ in range(k)]
         if c.dim >= 1:
             for ri in range(len(c.faces[c.dim - 1])):
                 r = FaceHandle(c.dim - 1, ri)
@@ -429,29 +434,17 @@ def _dual_graph(c: PolytopalComplex) -> tuple[dict[tuple[int, int], FaceHandle],
                 for a in range(len(owners)):
                     for b in range(a + 1, len(owners)):
                         edges[(owners[a], owners[b])] = r
-        for (a, b) in edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        for row in adj:
-            row.sort()
-        return edges, adj
+        k = len(c.faces[-1]) if c.faces else 0
+        return edges, graph_from_edges(k, edges)
     return c._cached("dual", build)
 
 
 def is_strongly_connected(c: PolytopalComplex) -> bool:
     """Pure, and any two facets joined by a facet-ridge path."""
-    if not c.faces:
+    if not c.faces or not c.is_pure():
         return False
-    if not c.is_pure():
-        return False
-    k = len(c.faces[-1])
-    if k == 1:
-        return True
-    if c.dim == 0:
-        return k == 1
-    dual, _ = _dual_graph(c)
-    g = graph_from_edges(k, dual.keys())
-    return connected_within(g, (1 << k) - 1)
+    g = _dual_graph(c)[1]
+    return connected_within(g, g.active)
 
 
 def facet_ridge_path(c: PolytopalComplex, start: FaceHandle, goal: FaceHandle,
@@ -459,8 +452,8 @@ def facet_ridge_path(c: PolytopalComplex, start: FaceHandle, goal: FaceHandle,
     """Shortest facet-ridge path [F0, R01, F1, ..., Fk] from start to goal.
 
     `avoid` lists facets that may not appear (start/goal must not be in it).
-    BFS scans facets in ascending index so ties resolve deterministically.
-    Returns None when no path exists.
+    The facets are `shortest_path`'s on the dual graph, so ties resolve
+    deterministically by facet index.  Returns None when no path exists.
     """
     d = c.dim
     if start.dim != d or goal.dim != d:
@@ -468,33 +461,11 @@ def facet_ridge_path(c: PolytopalComplex, start: FaceHandle, goal: FaceHandle,
     banned = set(avoid)
     if start in banned or goal in banned:
         raise ComplexError("endpoint in avoid set")
-    dual, adj = _dual_graph(c)
-    blocked = {h.index for h in banned}
-    if start == goal:
-        return [start]
-    parent = {start.index: -1}
-    frontier = [start.index]
-    found = False
-    while frontier and not found:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v in parent or v in blocked:
-                    continue
-                parent[v] = u
-                if v == goal.index:
-                    found = True
-                    break
-                nxt.append(v)
-            if found:
-                break
-        frontier = sorted(nxt)
-    if not found:
+    dual, g = _dual_graph(c)
+    seq = shortest_path(g, start.index, 1 << goal.index,
+                        g.active & ~mask_of(h.index for h in banned))
+    if seq is None:
         return None
-    seq = [goal.index]
-    while seq[-1] != start.index:
-        seq.append(parent[seq[-1]])
-    seq.reverse()
     path: list[FaceHandle] = [FaceHandle(d, seq[0])]
     for a, b in zip(seq, seq[1:]):
         ridge = dual[(min(a, b), max(a, b))]

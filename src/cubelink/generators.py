@@ -8,13 +8,12 @@ bits ranging over the (d-1) cross coordinates.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from . import cube
-from .complexes import (ComplexError, PolytopalComplex,
-                        complex_from_json_dict, vertex_star)
+from .complexes import (ComplexError, PolytopalComplex, load_complex,
+                        vertex_star)
 
 
 @functools.lru_cache(maxsize=None)
@@ -126,11 +125,7 @@ def build_complex(spec: InstanceSpec) -> PolytopalComplex:
             return glued_cubes(spec.dim, spec.chain_length)
         return cube_boundary(spec.dim)
     if spec.kind == "from_file":
-        try:
-            with open(spec.path) as fh:
-                return complex_from_json_dict(json.load(fh))
-        except OSError as e:
-            raise ValueError(f"cannot read complex file: {e}") from None
+        return load_complex(spec.path)
     raise AssertionError
 
 

@@ -4,8 +4,12 @@ Vertices are integers 0..n-1 and vertex sets are int bitmasks throughout.
 Every graph here is tiny (a few hundred vertices at most), so adjacency is
 a list of bitmasks and set algebra is bit twiddling.
 
-There is one flow primitive, `disjoint_paths` (Menger's theorem: disjoint
-A-B paths), and `local_connectivity` reduces to it.  It keeps the flow as
+There is one BFS primitive, `bfs_layers`, which returns the layers of a
+search as bitmasks: `reachable_mask`, `bfs_distances` and `shortest_path`
+read them, and so do the oracle's path and reachability tests and the
+facet-ridge paths in `complexes`.  There is one flow primitive,
+`disjoint_paths` (Menger's theorem: disjoint A-B paths), and
+`local_connectivity` reduces to it.  It keeps the flow as
 per-vertex state and searches the implicit residual of the node-split
 network, so no network is built per call (building one cost three times
 the search itself on the router's <= 64-vertex graphs).  Its BFS visits
@@ -136,21 +140,61 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]],
 # -- reachability and shortest paths --------------------------------------
 
 
+def bfs_layers(adj: Sequence[int], seeds: int, allowed: int,
+               near: int = 0) -> list[int]:
+    """The BFS layers from `seeds`, each an int bitmask.
+
+    Layer 0 is `seeds`; each later layer holds the vertices of `allowed`
+    first reached from the layer before.  The search stops after the
+    first layer that meets `near`, or when no new vertex is reached, so
+    the last layer meets `near` iff any layer does.  Adjacency is read
+    from the bitmask rows `adj`.
+
+    Reachability, distances and shortest paths (here, in the oracle and
+    on the facet-ridge dual) all read its layers; only `disjoint_paths`
+    searches a network of its own.  Each layer expands with an inline
+    lowest-bit loop, with no call or generator per vertex, since the
+    oracle's greedy stage and DFS prune run it on every campaign instance.
+    """
+    layer = seeds
+    rest = allowed & ~seeds
+    layers = [layer]
+    while not layer & near:
+        nxt = 0
+        while layer:
+            low = layer & -layer
+            nxt |= adj[low.bit_length() - 1]
+            layer ^= low
+        layer = nxt & rest
+        if not layer:
+            break
+        rest ^= layer
+        layers.append(layer)
+    return layers
+
+
+def path_back(adj: Sequence[int], layers: Sequence[int], t: int) -> list[int]:
+    """The path from layer 0 to `t`, a neighbour of the last layer, read
+    back through `layers`: each vertex's predecessor is its least-id
+    neighbour one layer closer to layer 0, the parent a forward BFS over
+    ascending frontiers records first."""
+    path = [t]
+    v = t
+    for layer in reversed(layers):
+        back = layer & adj[v]
+        v = (back & -back).bit_length() - 1
+        path.append(v)
+    path.reverse()
+    return path
+
+
 def reachable_mask(g: Graph, seeds: int, allowed: Optional[int] = None) -> int:
     """All vertices reachable from `seeds` inside `allowed` (seeds included
     only where they lie in `allowed`)."""
     allowed = g.active if allowed is None else allowed & g.active
-    adj = g.adj
-    frontier = seeds & allowed
-    seen = frontier
-    while frontier:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = nxt & allowed & ~seen
-        seen |= frontier
+    seen = 0
+    for layer in bfs_layers(g.adj, seeds & allowed, allowed):
+        seen |= layer
     return seen
 
 
@@ -179,56 +223,39 @@ def components(g: Graph, region: Optional[int] = None) -> list[int]:
 def bfs_distances(g: Graph, seeds: int, allowed: Optional[int] = None) -> dict[int, int]:
     """Distance from the seed set to every reachable vertex, seeds at 0."""
     allowed = g.active if allowed is None else allowed & g.active
-    adj = g.adj
-    dist: dict[int, int] = {}
-    frontier = seeds & allowed
-    d = 0
-    seen = frontier
-    while frontier:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            v = low.bit_length() - 1
-            dist[v] = d
-            nxt |= adj[v]
-            frontier ^= low
-        frontier = nxt & allowed & ~seen
-        seen |= frontier
-        d += 1
-    return dist
+    return {v: d for d, layer in enumerate(bfs_layers(g.adj, seeds & allowed,
+                                                      allowed))
+            for v in bits(layer)}
 
 
 def shortest_path(g: Graph, src: int, targets: int,
                   allowed: Optional[int] = None) -> Optional[list[int]]:
-    """Lexicographically least shortest path from `src` to the target set.
+    """A shortest path inside `allowed` from `src` to the target set.
 
-    `src` must lie in `allowed`.  Ties broken by preferring the smaller
-    vertex id at every step, which makes the result deterministic.
+    `src` must lie in `allowed`, and so must the target it reaches.  The
+    result is deterministic but not the lexicographically least shortest
+    path: it ends at the least target neighbour of the least vertex at the
+    path's last distance that has one, and every other vertex is preceded
+    by its least-id neighbour one BFS layer closer to `src`.
     """
     allowed = g.active if allowed is None else allowed & g.active
     if not (allowed >> src) & 1:
         return None
     if (targets >> src) & 1:
         return [src]
-    seen = 1 << src
-    parent: dict[int, int] = {}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for v in frontier:                      # frontier kept sorted
-            fresh = g.adj[v] & allowed & ~seen
-            seen |= fresh
-            for w in bits(fresh):
-                parent[w] = v                   # first (least) parent wins
-                if (targets >> w) & 1:
-                    path = [w]
-                    while path[-1] != src:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
-                nxt.append(w)
-        frontier = sorted(nxt)
-    return None
+    adj = g.adj
+    goal = targets & allowed
+    near = 0
+    for t in bits(goal):
+        near |= adj[t]
+    layers = bfs_layers(adj, 1 << src, allowed, near)
+    hit = layers[-1] & near
+    if not hit:
+        return None
+    # the least vertex of the last layer adjacent to this target is the
+    # least one with any target neighbour, so path_back steps to it
+    ends = adj[(hit & -hit).bit_length() - 1] & goal
+    return path_back(adj, layers, (ends & -ends).bit_length() - 1)
 
 
 # -- vertex-disjoint paths (Menger) ------------------------------------------

@@ -16,9 +16,10 @@ Greedy runs before fast-no because a greedy success passes fast-no: each
 of its paths already avoids every other terminal and the forbidden set.
 So the order changes no verdict and no returned linkage, only the cost of
 the instances greedy decides, which are nearly all campaign instances.
-All three stages share one BFS, `_layers_to`, over one int bitmask per
-layer.  No stage affects completeness, which the tests cross-check
-against a naive all-simple-path-tuples enumerator on small graphs.
+All three stages read their paths and reachability off one BFS,
+`graphs.bfs_layers`, which keeps each layer as one int bitmask.  No stage
+affects completeness, which the tests cross-check against a naive
+all-simple-path-tuples enumerator on small graphs.
 
 Campaigns add a batch stage in front: on graphs of at most 64 vertices,
 one vectorized greedy pass (numpy, one uint64 mask per instance and BFS
@@ -48,7 +49,8 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .cube import cube_graph
-from .graphs import Graph, bits, connected_within, mask_of
+from .graphs import (Graph, bfs_layers, bits, connected_within, mask_of,
+                     path_back)
 
 DEFAULT_BUDGET = 10 ** 7
 CAMPAIGN_BATCH = 1000        # instances per batch, the unit of work of a job
@@ -164,58 +166,29 @@ def _json_safe(x):
 # -- core search -------------------------------------------------------------
 
 
-def _layers_to(adj: Sequence[int], s: int, t: int,
-               allowed: int) -> Optional[list[int]]:
-    """The BFS layers from s, each an int bitmask, stepping through
-    `allowed` minus s and t, up to and including the first layer with a
-    neighbour of t; None when no layer has one.  s == t is the caller's
-    case.  The test `layer & adj[t]` reads adjacency from t's side, which
-    `Graph`'s symmetry check makes equivalent to each vertex listing t."""
-    goal_adj = adj[t]
-    layer = 1 << s
-    rest = allowed & ~(layer | (1 << t))
-    layers = [layer]
-    while not layer & goal_adj:
-        nxt = 0
-        while layer:
-            low = layer & -layer
-            nxt |= adj[low.bit_length() - 1]
-            layer ^= low
-        layer = nxt & rest
-        if not layer:
-            return None
-        rest ^= layer
-        layers.append(layer)
-    return layers
-
-
 def _reach_ok(adj: Sequence[int], src: int, goal: int, allowed: int) -> bool:
-    """Can src reach goal stepping through `allowed` (goal bit included)?"""
-    return src == goal or _layers_to(adj, src, goal, allowed) is not None
+    """Can src reach goal stepping through `allowed` (goal bit included)?
+    The search stops at the first layer with a neighbour of goal, read
+    from goal's side, which `Graph`'s symmetry check makes equivalent to
+    each vertex listing goal."""
+    if src == goal:
+        return True
+    near = adj[goal]
+    return bool(bfs_layers(adj, 1 << src, allowed, near)[-1] & near)
 
 
 def _bfs_path(adj: Sequence[int], s: int, t: int,
               allowed: int) -> Optional[list[int]]:
     """Shortest s-t path with interior in `allowed`; deterministic
-    (least-id parents win).  s and t need not lie in `allowed`.
-
-    The path is read backwards from t through the layers: at each layer
-    it steps to the least-id vertex adjacent to the current one, which is
-    the parent a forward BFS over ascending frontiers would have recorded.
-    """
+    (least-id parents win, see `path_back`).  s and t need not lie in
+    `allowed`."""
     if s == t:
         return [s]
-    layers = _layers_to(adj, s, t, allowed)
-    if layers is None:
+    near = adj[t]
+    layers = bfs_layers(adj, 1 << s, allowed, near)
+    if not layers[-1] & near:
         return None
-    path = [t]
-    v = t
-    for layer in reversed(layers):
-        back = layer & adj[v]
-        v = (back & -back).bit_length() - 1
-        path.append(v)
-    path.reverse()
-    return path
+    return path_back(adj, layers, t)
 
 
 def _greedy_attempt(adj: Sequence[int], active: int,

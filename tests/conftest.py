@@ -2,6 +2,7 @@
 independently of the library's search code, plus random-graph generators.
 Everything here favours obviousness over speed."""
 
+import collections
 import itertools
 import random
 
@@ -31,6 +32,46 @@ def iter_simple_paths(g: Graph, s: int, t: int, banned):
         yield (s,)
         return
     yield from walk(s)
+
+
+def queue_bfs(g: Graph, s: int, allowed: int) -> dict[int, int]:
+    """Distance from s to every vertex it reaches through `allowed` (s
+    itself counts whether or not it lies there), by a FIFO queue BFS that
+    scans each vertex's neighbours by id."""
+    dist = {s: 0}
+    queue = collections.deque([s])
+    while queue:
+        v = queue.popleft()
+        for w in range(g.n):
+            if (g.adj[v] >> w) & 1 and (allowed >> w) & 1 and w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def least_id_path(g: Graph, s: int, targets: int, allowed: int):
+    """The path `shortest_path` documents, built from `queue_bfs`: None
+    when s is outside `allowed` or no target in `allowed` is reached, [s]
+    when s is a target, else a shortest path to the least target neighbour
+    of the least vertex one step short of the nearest target that has
+    one, each vertex preceded by its least-id neighbour one step nearer
+    s."""
+    if not (allowed >> s) & 1:
+        return None
+    if (targets >> s) & 1:
+        return [s]
+    dist = queue_bfs(g, s, allowed)
+    ends = [t for t in dist if (targets >> t) & 1]
+    if not ends:
+        return None
+    far = min(dist[t] for t in ends)
+    v = min(u for u in dist if dist[u] == far - 1
+            and any(g.has_edge(u, t) for t in ends))
+    path = [min(t for t in ends if g.has_edge(v, t)), v]
+    while path[-1] != s:
+        path.append(min(u for u in dist if dist[u] == dist[path[-1]] - 1
+                        and g.has_edge(u, path[-1])))
+    return path[::-1]
 
 
 def naive_linked(g: Graph, pairs, forbidden=frozenset()) -> bool:

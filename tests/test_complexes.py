@@ -14,7 +14,8 @@ from cubelink.complexes import (ComplexError, NotCubicalError, _dual_graph,
                                 is_strongly_connected, link, load_complex,
                                 other_facet_with_ridge, star,
                                 technical_lemma_check, vertex_star)
-from cubelink.generators import cube_boundary, glued_cubes
+from cubelink.generators import (InstanceSpec, build_complex, cube_boundary,
+                                 glued_cubes)
 from cubelink.graphs import vertex_connectivity
 
 
@@ -63,6 +64,14 @@ def test_json_round_trip(tmp_path):
     p.write_text(json.dumps(data))
     c3 = load_complex(str(p))
     assert c3.f_vector() == c.f_vector()
+
+
+def test_unreadable_complex_file_is_a_value_error(tmp_path):
+    missing = str(tmp_path / "missing.json")
+    with pytest.raises(ValueError, match="cannot read complex file"):
+        load_complex(missing)
+    with pytest.raises(ValueError, match="cannot read complex file"):
+        build_complex(InstanceSpec("from_file", path=missing))
 
 
 def test_loader_rejects_non_lattice():

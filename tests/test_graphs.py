@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from conftest import brute_min_vertex_cut, has_set_path, random_graph
+from conftest import (brute_min_vertex_cut, has_set_path, least_id_path,
+                      random_graph)
 from cubelink.complexes import facet_ridge_path, vertex_star
 from cubelink.cube import cube_graph
 from cubelink.generators import cube_boundary, glued_cubes
@@ -106,14 +107,39 @@ def test_shortest_path_endpoints_and_minimality():
             assert g.has_edge(u, v)
 
 
-def test_shortest_path_is_lexicographically_least():
+def test_shortest_path_takes_least_id_predecessors():
     g = cube_graph(3)
-    # 0 -> 7 has six shortest paths; the least visits 1 then 3
+    # 0 -> 7 has six shortest paths; 7's least neighbour one layer out is
+    # 3, and 3's is 1
     assert shortest_path(g, 0, 1 << 7) == [0, 1, 3, 7]
     # src inside the target set: trivial path
     assert shortest_path(g, 5, mask_of([5, 0])) == [5]
     # src outside allowed: no path
     assert shortest_path(g, 0, 1 << 7, allowed=mask_of([1, 7])) is None
+    # the rule is not lexicographic order: 5's least neighbour one layer
+    # out is 3, so [0, 1, 4, 5] loses to [0, 2, 3, 5]
+    g = graph_from_edges(6, [(0, 1), (0, 2), (2, 3), (1, 4), (3, 5), (4, 5)])
+    assert shortest_path(g, 0, 1 << 5) == [0, 2, 3, 5]
+
+
+@hst.composite
+def _target_case(draw):
+    n = draw(hst.integers(1, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [e for e, on in zip(pairs, draw(hst.lists(
+        hst.booleans(), min_size=len(pairs), max_size=len(pairs)))) if on]
+    g = graph_from_edges(n, edges)
+    src = draw(hst.integers(0, n - 1))
+    targets = draw(hst.integers(0, (1 << n) - 1))
+    return g, src, targets, draw(hst.integers(0, (1 << n) - 1))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_target_case())
+def test_shortest_path_matches_queue_bfs(case):
+    g, src, targets, allowed = case
+    assert shortest_path(g, src, targets, allowed) == least_id_path(
+        g, src, targets, allowed)
 
 
 def test_disjoint_paths_count_matches_connectivity():

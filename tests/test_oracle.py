@@ -15,13 +15,13 @@ from cubelink import linker, oracle
 from conftest import (
     brute_min_vertex_cut,
     naive_linked,
+    queue_bfs,
     random_graph,
     random_problem,
 )
 from cubelink.cube import cube_graph
 from cubelink.generators import glued_cubes
-from cubelink.graphs import (bfs_distances, bits, graph_from_edges, mask_of,
-                             reachable_mask)
+from cubelink.graphs import bits, graph_from_edges, mask_of
 from cubelink.oracle import (
     CAMPAIGN_BATCH,
     Linkage,
@@ -607,7 +607,7 @@ def test_bfs_path_is_least_id_shortest_path(case):
     g, s, t, allowed = case
     path = oracle._bfs_path(g.adj, s, t, allowed)
     inner = allowed & ~((1 << s) | (1 << t))
-    dist = bfs_distances(g, 1 << s, inner | (1 << s) | (1 << t))
+    dist = queue_bfs(g, s, inner | (1 << t))
     if t not in dist:
         assert path is None
         return
@@ -617,7 +617,7 @@ def test_bfs_path_is_least_id_shortest_path(case):
     assert all((inner >> v) & 1 for v in path[1:-1])
     # the predecessor of each vertex is its least-id neighbour one layer
     # closer to s (s itself is layer 0)
-    near = bfs_distances(g, 1 << s, inner | (1 << s))
+    near = queue_bfs(g, s, inner)
     for i in range(1, len(path)):
         layer = [u for u in bits(g.adj[path[i]]) if near.get(u) == i - 1]
         assert path[i - 1] == min(layer)
@@ -625,11 +625,11 @@ def test_bfs_path_is_least_id_shortest_path(case):
 
 @settings(max_examples=400, deadline=None, database=None)
 @given(_bfs_case())
-def test_reach_ok_matches_reachable_mask(case):
+def test_reach_ok_matches_queue_bfs(case):
     g, s, t, allowed = case
     allowed |= 1 << t
-    want = (reachable_mask(g, 1 << s, allowed | (1 << s)) >> t) & 1
-    assert oracle._reach_ok(g.adj, s, t, allowed) == bool(want)
+    assert oracle._reach_ok(g.adj, s, t, allowed) == (
+        t in queue_bfs(g, s, allowed))
 
 
 def test_fast_no_rejections_never_reach_the_dfs(monkeypatch):
@@ -658,8 +658,7 @@ def test_fast_no_rejections_never_reach_the_dfs(monkeypatch):
         pairs, forbidden = made
         terms = mask_of(v for pr in pairs for v in pr)
         open_mask = g.active & ~mask_of(forbidden) & ~terms
-        blocked = any(not (reachable_mask(g, 1 << s, open_mask | (1 << s)
-                                          | (1 << t)) >> t) & 1
+        blocked = any(t not in queue_bfs(g, s, open_mask | (1 << t))
                       for s, t in pairs)
         before = len(dfs_calls)
         got = solve_linkage(LinkageProblem(g, pairs, forbidden))
