@@ -440,6 +440,23 @@ def _blocked_runs():
         yield c, [v for pr in pairs for v in pr], pairs
 
 
+# Swap shapes that SWAP_INSTANCES miss, found by enumerating every blocked
+# fan of Q_5 (centre the least terminal) and of bicube_5 centred at 0 and
+# at 16 (one centre per vertex class).
+SWAP_SHAPES = [
+    ((0, 47), (7, 11), (13, 14)),    # the crossing fan path meets the
+                                     # escape ridge after one step
+    ((16, 7), (3, 5), (6, 31)),      # it misses the shadow of t1's end
+    ((16, 15), (3, 5), (6, 31)),     # two cross, one holds that shadow
+]
+
+
+def _swap_runs():
+    c = glued_cubes(5, 2)
+    for pairs in SWAP_SHAPES:
+        yield c, [v for pr in pairs for v in pr], pairs
+
+
 # Pinned digests of the routings below.  Each set runs twice on the same
 # complexes, so cold lattice caches (most sets build fresh complexes) and
 # warm ones must both reproduce them; any change to a path, a refusal or a
@@ -451,6 +468,7 @@ G5_STAR_DIGEST = "bb1777ddfcf81d0e16344446dd38ade5effc13c529e54719943d30dbd7428d
 Q7_PACKED_DIGEST = "5bd3d50e71b9774d124e0918f078fa5fb9b17cac3cb6b73eb08fc6b146e5a2e1"
 BLOCKED_DIGEST = "7bba77078534fe6ddfde8f3934d142ea6a9d87fe6c4ac66260293f617dd9aff7"
 RESCUE_DIGEST = "132465e320ef8544beecdc206efb689319d3c55613948a282c08f9267fcac8ab"
+SWAP_DIGEST = "aced0092283f1f33a543f149ba94fbdaaa090863b41b4f9bfab55dcd3bcce6a3"
 
 
 def _pinned_routings():
@@ -466,6 +484,7 @@ def _pinned_routings():
          Q7_PACKED_DIGEST),
         ("blocked", link_in_polytope, _blocked_runs, BLOCKED_DIGEST),
         ("rescue", strong_link_even, _rescue_runs, RESCUE_DIGEST),
+        ("swap", link_in_polytope, _swap_runs, SWAP_DIGEST),
     ]
 
 
