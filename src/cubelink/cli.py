@@ -136,6 +136,8 @@ def _default_k(d: int) -> int:
 def _check_linked(args, spec: InstanceSpec, strong: bool) -> dict:
     if args.k is None:
         raise UsageError("--k is required for linkedness checks")
+    if args.k < 1:
+        raise UsageError(f"--k must be at least 1, got {args.k}")
     c = build_complex(spec)
     g = c.graph()
     symmetry = None
@@ -635,12 +637,14 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {args.samples}")
     spec = _spec_from_args(args)
     c = build_complex(spec)
     g = c.graph()
     d = c.dim + 1
     ids = sorted(c.vertex_ids)
-    n = max(1, min(args.samples, 2000))
+    n = min(args.samples, 2000)
     marks: dict = {}
 
     def clock(name, fn, reps):

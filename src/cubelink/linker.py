@@ -24,8 +24,9 @@ that swallowed its end), `hops` and `land` (walks of length at most 2 to a
 parallel face, finished at the mate), `free_neighbour`, and `link_tails` /
 `finish` (a linkage closed over fan tails, as `_close` does for the
 polytope fans, which re-enter the star through `_close_in_star`).  Every
-branch, the d = 7 packed cases included, is pinned by sha256 digests of its
-paths and branch counts in the test suite.
+line of the star router and of the blocked-fan swap, apart from error
+raises, runs under the sha256 digests of paths and branch counts in the
+test suite, the d = 7 packed cases included; a line tracer there checks it.
 
 Every public entry point re-validates its output before returning, and any
 violated internal invariant raises `ProofStepError` with a short step id
@@ -293,7 +294,7 @@ class _StarRouter:
             if best is None or score > best[0]:
                 best = (score, f)
         # t1 lies in some facet, so best is set
-        self.f1 = best[1]
+        self.score, self.f1 = best
         self.ch1 = self.c.chart(self.f1)
         self.f1mask = mask_of(self.c.face_vertices(self.f1))
         self.a1mask = self.c.vertex_mask & ~self.f1mask
@@ -397,12 +398,11 @@ class _StarRouter:
         return i, (t if s == v else s)
 
     def run(self) -> list[list[int]]:
-        m = len(self.x & set(self.c.face_vertices(self.f1)))
-        if m == self.d + 1:
+        if self.score == self.d + 1:
             return self.route_packed()
-        if m == self.d:
+        if self.score == self.d:
             return self.route_one_out()
-        if m == 2:
+        if self.score == 2:
             return self.route_pair_only()
         return self.route_spread()
 
@@ -956,44 +956,63 @@ class _StarRouter:
     def _low_split(self, out, a, b, rmask, fmask, over):
         _mark("star.packed.low.split")
         # both small pairs straddle the two 3-faces
-        s1, t1, ch = self.s1, self.t1, self.ch1
-        s1o = ch.opposite_vertex(s1)
+        s1, t1 = self.s1, self.t1
+        s1o = self.ch1.opposite_vertex(s1)
         a, b = _from_side(a, rmask), _from_side(b, rmask)
         # the detouring pair may not end at the antipode, which has no hook
-        combos = [(h, f) for h, f in ((b, a), (a, b)) if f[1] != s1o]
-        for (hs, ht, hi), (fs, ft, fi) in combos:
-            for hop in self.hops(hs, rmask, over, self.x - {hs, ht}):
-                centre = shortest_path(
-                    self.sg, s1, 1 << t1,
-                    rmask & ~mask_of(({fs} | set(hop)) - {s1, t1}))
-                if centre is None:
-                    continue
-                out[fi] = self.detour("star.packed.low.hook2",
-                                      "star.packed.low.carry2", fs, ft)
-                out[hi] = self.land("star.packed.low.land", hop, ht, fmask,
-                                    avoid=self.x - {hs, ht})
-                out[0] = centre
-                return out
-        # no workable hop: send one pair through the antistar instead,
-        # stepping off the antipode if its far end sits there
-        (hs, ht, hi), (fs, ft, fi) = combos[0]
-        end = [ht]
-        if ht == s1o:
-            end.insert(0, self.free_neighbour(
-                "star.packed.low.sidestep",
-                "no free vertex beside the antipode", ht, fmask))
-        out[hi] = _join(self.detour("star.packed.low.hook3",
-                                    "star.packed.low.carry3", hs, end[0]),
-                        end)
-        walk = next(self.hops(fs, rmask, over, set(end) | {s1, t1, hs}),
+        tries = [(h, f) for h, f in ((b, a), (a, b)) if f[1] != s1o]
+        got = self._straddle(out, tries, t1, rmask, fmask, over)
+        if got is not None:
+            return got
+        # No hop.  A near end hs without one is pushed onto ft and has
+        # exactly s1, t1 and fs for near-face neighbours, so two such ends
+        # would be adjacent and both adjacent to s1: a triangle in a 3-cube.
+        # So one try was dropped, and the pair left to hop ends at the
+        # antipode.  Send it through the antistar instead, stepping off the
+        # antipode.
+        (hs, ht, hi), (fs, ft, fi) = tries[0]
+        side = self.free_neighbour("star.packed.low.sidestep",
+                                   "no free vertex beside the antipode", ht,
+                                   fmask)
+        out[hi] = self.detour("star.packed.low.hook3",
+                              "star.packed.low.carry3", hs, side) + [ht]
+        walk = next(self.hops(fs, rmask, over, {side, ht, s1, t1, hs}),
                     None)
         _need(walk is not None, "star.packed.low.step2",
               "second pair cannot reach the far face")
         out[fi] = self.land("star.packed.low.land2", walk, ft, fmask,
-                            avoid=set(end))
+                            avoid={side, ht})
         out[0] = self.region_path("star.packed.low.centre2", rmask, s1,
-                                  t1, avoid=({hs} | set(walk)) - {s1, t1})
+                                  t1, avoid={hs, *walk})
         return out
+
+    def _straddle(self, out, tries, end, rmask, fmask, over):
+        """Route the two small pairs that straddle the near and far
+        3-faces.  `tries` holds (h, f) pairs of jobs, each turned near end
+        first.  For the first whose near end hs can hop to the far face, h
+        lands at ht, f detours through the antistar, and the centre path
+        runs on the near face from s1 to `end` and on to t1.  None if no hs
+        can hop.
+
+        The centre path always exists.  The near face is a 3-cube, and at
+        most three of its vertices are removed: fs, hs and the hop step,
+        hs and the step being adjacent.  A 3-cube is 3-connected, and its
+        only 3-vertex cuts are vertex neighbourhoods, which hold no edge.
+        """
+        for (hs, ht, hi), (fs, ft, fi) in tries:
+            hop = next(self.hops(hs, rmask, over,
+                                 (self.x - {hs, ht}) | {end}), None)
+            if hop is None:
+                continue
+            centre = self.region_path("star.packed.low.centre", rmask,
+                                      self.s1, end, avoid={fs, *hop})
+            out[hi] = self.land("star.packed.low.land", hop, ht, fmask,
+                                avoid=self.x - {hs, ht})
+            out[fi] = self.detour("star.packed.low.hook2",
+                                  "star.packed.low.carry2", fs, ft)
+            out[0] = _join(centre, [self.t1])
+            return out
+        return None
 
     def _packed_low_antipode(self) -> list[list[int]]:
         _mark("star.packed.low.antipode")
@@ -1046,24 +1065,13 @@ class _StarRouter:
                                  door, avoid=self.x - {s1})
             out[0] = _join(q, [t1])
             return out
-        # both small pairs straddle the faces
+        # both small pairs straddle the faces; as in _low_split, with the
+        # door in t1's place, the two near ends cannot both lack a hop
         a, b = _from_side(a, rmask), _from_side(b, rmask)
-        for (hs, ht, hi), (fs, ft, fi) in ((b, a), (a, b)):
-            for hop in self.hops(hs, rmask, over,
-                                 (self.x - {hs, ht}) | {door}):
-                centre = shortest_path(
-                    self.sg, s1, 1 << door,
-                    rmask & ~mask_of(({fs} | set(hop)) - {s1, door}))
-                if centre is None:
-                    continue
-                out[hi] = self.land("star.packed.low.land3", hop, ht, fmask,
-                                    avoid=self.x - {hs, ht})
-                out[fi] = self.detour("star.packed.low.hook5",
-                                      "star.packed.low.carry5", fs, ft)
-                out[0] = _join(centre, [t1])
-                return out
-        raise ProofStepError("star.packed.low.hop",
-                             "no split assignment routes past the door")
+        got = self._straddle(out, ((b, a), (a, b)), door, rmask, fmask, over)
+        _need(got is not None, "star.packed.low.hop",
+              "no split assignment routes past the door")
+        return got
 
 
 def link_in_star(problem: StarProblem) -> Union[Linkage, ConfigDFRefusal]:
@@ -1172,47 +1180,30 @@ def _route_blocked(c, g, starc, smask, y, ybar, tail, f1,
 
 
 def _swap_blocked_tail(c, g, starc, smask, y, ybar, tail, ctx, touch):
-    # some fan path already crosses the escape ridge: divert it there and
-    # land it on a fresh ridge vertex, which unblocks the pattern
+    # some fan path already crosses the escape ridge: divert it at its first
+    # ridge vertex along the ridge to a good vertex, which unblocks the
+    # pattern.  In every blocked fan of Q_5 and of bicube_5 enumerated (see
+    # test_linker), no crossing path holds a good vertex, the walk cannot
+    # avoid the star, and it ends inside the star.
     _mark("polytope.blocked.swap")
     rjmask = mask_of(c.face_vertices(ctx.escape_ridge))
-    goodmask = mask_of(ctx.good)
-    chj = c.chart(ctx.next_facet)
-    pick = next((v for v in touch if mask_of(tail[v]) & goodmask), None)
-    if pick is None:
-        shadow = chj.project_to(ybar[0][1], ctx.escape_ridge)
-        pick = next((v for v in touch if shadow not in tail[v]), None)
+    shadow = c.chart(ctx.next_facet).project_to(ybar[0][1], ctx.escape_ridge)
+    pick = next((v for v in touch if shadow not in tail[v]), None)
     if pick is None:
         _need(len(touch) == 1, "poly.blocked.tie",
               "several crossing fans all hold the shadow")
         pick = touch[0]
     tl = tail[pick]
-    gi = next((i for i, u in enumerate(tl) if (goodmask >> u) & 1), None)
-    if gi is not None:
-        newtail = tl[:gi + 1] + [chj.project_to(tl[gi], ctx.ridge)]
-    else:
-        ji = next(i for i, u in enumerate(tl) if (rjmask >> u) & 1)
-        stub = tl[:ji + 1]
-        othermask = 0
-        for v, q in tail.items():
-            if v != pick:
-                othermask |= mask_of(q)
-        start = tl[ji]
-        allowed = (rjmask & ~othermask & ~smask) | (1 << start)
-        walk = shortest_path(g, start, goodmask, allowed)
-        if walk is None:
-            # last resort: allow star interiors; final validation guards
-            walk = shortest_path(g, start, goodmask,
-                                 (rjmask & ~othermask) | (1 << start))
-        _need(walk is not None, "poly.blocked.walk",
-              "no room on the escape ridge")
-        end = walk[-1]
-        if (smask >> end) & 1:
-            newtail = stub + walk[1:]
-        else:
-            newtail = stub + walk[1:] + [chj.project_to(end, ctx.ridge)]
+    ji = next(i for i, u in enumerate(tl) if (rjmask >> u) & 1)
+    othermask = mask_of(u for v, q in tail.items() if v != pick for u in q)
+    walk = shortest_path(g, tl[ji], mask_of(ctx.good),
+                         (rjmask & ~othermask) | (1 << tl[ji]))
+    _need(walk is not None, "poly.blocked.walk",
+          "no room on the escape ridge")
+    _need((smask >> walk[-1]) & 1, "poly.blocked.land",
+          "escape walk ends outside the star")
     tail2 = dict(tail)
-    tail2[pick] = newtail
+    tail2[pick] = tl[:ji] + walk
     ybar2, found = _fan_ends(c, y, tail2)
     _need(found is None, "poly.blocked.again", "diversion failed to unblock")
     return _close_in_star(starc, y, ybar2, tail2, "poly.blocked.star",

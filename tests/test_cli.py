@@ -277,6 +277,25 @@ def test_bench_runs(capsys):
     assert all(m["per_sec"] > 0 for m in marks.values())
 
 
+def test_bench_samples_below_one_exit_two(capsys):
+    # no op to time: refused like verify --samples 0, not timed as one op
+    for samples in ("0", "-2"):
+        code, out, err = run(capsys, "bench", "--kind", "cube", "--dim", "4",
+                             "--samples", samples)
+        assert code == 2 and out == ""
+        assert f"--samples must be at least 1, got {samples}" in err
+
+
+def test_linkedness_k_below_one_exit_two(capsys):
+    # --k 0 used to verify one empty instance, --k -1 to fail in math.comb
+    for check in ("k_linked", "strongly_linked"):
+        for k in ("0", "-1"):
+            code, out, err = run(capsys, "verify", "--kind", "cube", "--dim",
+                                 "3", "--check", check, "--k", k)
+            assert code == 2 and out == ""
+            assert f"--k must be at least 1, got {k}" in err
+
+
 def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "--kind", "cube", "--dim", "3",
                        "--check", "k_linked")         # missing --k

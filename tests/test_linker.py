@@ -1,10 +1,16 @@
 import ast
 import hashlib
 import inspect
+import itertools
+import os
 import pickle
 import random
 import re
+import sys
+import textwrap
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
+from types import CodeType
 
 import pytest
 
@@ -28,7 +34,9 @@ from cubelink.linker import (
     link_in_star,
     strong_link_even,
 )
-from cubelink.oracle import LinkageProblem, pairings, solve_linkage
+from cubelink.graphs import bits
+from cubelink.oracle import LinkageProblem, menger_paths, pairings, \
+    solve_linkage
 
 
 @pytest.fixture
@@ -492,17 +500,123 @@ def _marked_ids() -> set[str]:
     return set(re.findall(r'_mark\("([^"]+)"\)', inspect.getsource(linker)))
 
 
+def _code_objects(code):
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, CodeType):
+            yield from _code_objects(const)
+
+
+@contextmanager
+def _lines_run(fns, ran: set):
+    """Add to `ran` the number of every line of fns (nested functions
+    included) that runs inside the block; the tracer in place before is
+    restored after."""
+    codes = {k for fn in fns for k in _code_objects(fn.__code__)}
+
+    def local(frame, event, arg):
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return local
+
+    saved = sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 local if frame.f_code in codes else None)
+    try:
+        yield
+    finally:
+        sys.settrace(saved)
+
+
+def _statement_lines(fn) -> list[range]:
+    """The lines of every statement in fn's body that a line tracer can
+    report: all of a simple statement, the header of a compound one.
+    Raises, docstrings and `try` headers are left out."""
+    src, first = inspect.getsourcelines(fn)
+    tree = ast.parse(textwrap.dedent("".join(src)))
+    ast.increment_lineno(tree, first - 1)
+    top = tree.body[0]
+    docs = {id(node.body[0]) for node in ast.walk(top)
+            if isinstance(node, ast.FunctionDef)
+            and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+    spans = []
+    for node in ast.walk(top):
+        if (node is top or not isinstance(node, ast.stmt)
+                or isinstance(node, (ast.Raise, ast.Try))
+                or id(node) in docs):
+            continue
+        body = getattr(node, "body", None)
+        last = body[0].lineno - 1 if body else node.end_lineno
+        spans.append(range(node.lineno, last + 1))
+    return spans
+
+
+def _unrun_statements(fns, ran: set) -> list[int]:
+    return [span.start for fn in fns for span in _statement_lines(fn)
+            if not ran.intersection(span)]
+
+
+# Every statement of these runs under the pinned digests, apart from raises.
+GUARDED = [f for f in vars(linker._StarRouter).values()
+           if inspect.isfunction(f)] + [linker._swap_blocked_tail]
+
+
 def test_routing_output_pinned_cold_and_warm():
     seen = set()
+    ran: set = set()
     for name, route, runs, digest in _pinned_routings():
         first = list(runs())
-        for args in (first, first):     # cold, then warm lattice caches
-            got, counts = _routing_digest(route, args)
+        for warm in (False, True):      # cold, then warm lattice caches
+            with nullcontext() if warm else _lines_run(GUARDED, ran):
+                got, counts = _routing_digest(route, first)
             assert got == digest, name
         seen |= set(counts)
     # every branch of the router is pinned, the d = 7 cases included
     assert len(_marked_ids()) == 21
     assert seen == _marked_ids()
+    # and every line of the star router and of the blocked-fan swap
+    assert _unrun_statements(GUARDED, ran) == []
+
+
+@pytest.mark.skipif(os.environ.get("ACCEPTANCE_FULL") != "1",
+                    reason="enumeration of several minutes: ACCEPTANCE_FULL=1")
+def test_straddle_and_swap_run_whole_on_full_enumeration():
+    """The evidence for the branches cut from `_straddle` and
+    `_swap_blocked_tail`, re-runnable: every packed instance of the
+    bicube_5 star of 16 and every blocked fan of Q_5 centred at 0 route
+    without a ProofStepError, and between them run every line left in
+    both.  Criterion 7's full form covers the Q_5 star."""
+    vs = build_star(InstanceSpec("star_of_vertex", dim=5, chain_length=2))
+    st, c0 = vs.complex, vs.center
+    packed = set()
+    for f in st.facets():
+        near = sorted(set(st.face_vertices(f)) - {c0})
+        for five in itertools.combinations(near, 5):
+            for i in range(5):
+                for pr in pairings(five[:i] + five[i + 1:]):
+                    packed.add(((c0, five[i]),) + pr)
+    g = Q5.graph().without([0])
+    sinks = sorted(bits(vertex_star(Q5, 0).vertex_mask & ~1))
+    blocked = []
+    for five in itertools.combinations(range(1, 32), 5):
+        # link_in_polytope's fan, which depends on the terminal set only
+        tail = {q[0]: q for q in menger_paths(g, five, sinks, 5)}
+        tail[0] = [0]
+        for i in range(5):
+            for pr in pairings(five[:i] + five[i + 1:]):
+                y = ((0, five[i]),) + pr
+                if linker._fan_ends(Q5, y, tail)[1] is not None:
+                    blocked.append(y)
+    assert len(packed) == 355320 and len(blocked) == 18
+    fns = [linker._StarRouter._straddle, linker._swap_blocked_tail]
+    ran: set = set()
+    with _lines_run(fns, ran):
+        for pairs in sorted(packed):
+            link_in_star(StarProblem(st, c0, pairs))
+        for y in blocked:
+            link_in_polytope(Q5, [v for pr in y for v in pr], y)
+    assert _unrun_statements(fns, ran) == []
 
 
 def test_benchmark_lists_every_odd_dimension_branch():
