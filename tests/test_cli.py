@@ -1,8 +1,10 @@
 import csv
+import hashlib
 import io
 import json
 import multiprocessing.pool
 import os
+import re
 import subprocess
 import sys
 
@@ -131,6 +133,50 @@ def test_csv_and_text_formats(capsys):
                        "--check", "separators", "--format", "text")
     assert code == 0
     assert "verdict.status: verified" in out
+
+
+_PINNED_VERIFY = (
+    ("--dim", "3", "--check", "k_linked", "--k", "2"),
+    ("--dim", "4", "--check", "strongly_linked", "--k", "2", "--symmetry"),
+    ("--kind", "glued_chain", "--dim", "5", "--chain-length", "2",
+     "--check", "k_linked", "--k", "3", "--mode", "sampled",
+     "--samples", "3000", "--seed", "3"),
+    ("--dim", "4", "--check", "lemma6"),
+    ("--dim", "5", "--check", "lemma6", "--mode", "sampled",
+     "--samples", "5000", "--seed", "2"),
+    ("--dim", "3", "--check", "separators"),
+    ("--dim", "3", "--check", "separators", "--format", "csv"),
+    ("--dim", "3", "--check", "separators", "--format", "text"),
+    ("--kind", "glued_chain", "--dim", "4", "--chain-length", "2",
+     "--check", "k23"),
+    ("--dim", "5", "--check", "star_lemma", "--mode", "sampled",
+     "--samples", "300", "--seed", "4"),
+    ("--kind", "glued_chain", "--dim", "5", "--chain-length", "2",
+     "--check", "star_lemma", "--mode", "sampled", "--samples", "300",
+     "--seed", "5"),
+    ("--dim", "4", "--check", "technical_lemma"),
+    ("--kind", "glued_chain", "--dim", "4", "--chain-length", "2",
+     "--check", "link_construct", "--mode", "sampled", "--samples", "300",
+     "--seed", "6"),
+    ("--dim", "5", "--check", "link_construct", "--mode", "sampled",
+     "--samples", "300", "--seed", "8"),
+)
+
+
+def test_verify_reports_pinned(capsys, monkeypatch):
+    # sha256 over the exit code and report of one verify run per check
+    # (and per report format), the elapsed_ms values cut out; every check
+    # needs a pinned report
+    assert ({argv[argv.index("--check") + 1] for argv in _PINNED_VERIFY}
+            == set(cubelink.cli.CHECKS))
+    monkeypatch.delenv("CUBELINK_JOBS", raising=False)
+    h = hashlib.sha256()
+    for argv in _PINNED_VERIFY:
+        code, out, _ = run(capsys, "verify", *argv)
+        h.update(f"{code}\n".encode())
+        h.update(re.sub(r"(elapsed_ms\W+)\d+", r"\1", out).encode())
+    assert h.hexdigest() == (
+        "4498c1d946d96876e985fa0e88413c03e278328c4a9551f295555d747f52c015")
 
 
 def test_construct_solve_adjacency_problem(tmp_path, capsys):
