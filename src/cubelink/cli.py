@@ -9,7 +9,8 @@ Subcommands:
 Reports go to stdout in json, csv, or text form; progress lines go to
 stderr.  Exit status: 0 = verified / sampled pass / linkage found,
 1 = counterexample or refusal (the report carries the witness),
-2 = usage, input, or budget error.
+2 = usage, input, or budget error, 3 = an internal proof step of the
+constructive router failed.
 
 The same campaign with the same seed prints a byte-identical report
 except for elapsed_ms fields (and the per_sec rates of bench).
@@ -27,7 +28,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 from .complexes import (ComplexError, PolytopalComplex, antistar,
@@ -39,13 +40,10 @@ from .graphs import Graph, bits, vertex_connectivity
 from .linker import (ConfigDFRefusal, ProofStepError, StarProblem,
                      detect_config_dF, link_in_polytope, link_in_star,
                      strong_link_even)
-from .oracle import (DEFAULT_BUDGET, Linkage, LinkageProblem,
-                     CampaignRun, SearchBudgetExceeded, _batched, campaign,
+from .oracle import (DEFAULT_BUDGET, InvalidLinkage, Linkage,
+                     LinkageProblem, SearchBudgetExceeded, _batched, campaign,
                      k23_witness, pairings, solve_linkage, verify_k_linked,
                      verify_strongly_linked)
-
-CHECKS = ("k_linked", "strongly_linked", "lemma6", "separators",
-          "star_lemma", "technical_lemma", "k23", "link_construct")
 
 
 class UsageError(Exception):
@@ -72,11 +70,6 @@ def _spec_from_args(args) -> InstanceSpec:
         raise UsageError("--dim is required unless --kind from_file")
     return InstanceSpec(kind=args.kind, dim=args.dim,
                         chain_length=args.chain_length or 0)
-
-
-def _spec_dict(spec: InstanceSpec) -> dict:
-    return {"kind": spec.kind, "dim": spec.dim,
-            "chain_length": spec.chain_length, "path": spec.path}
 
 
 def _flatten(prefix: str, value, rows: list) -> None:
@@ -109,64 +102,61 @@ def _emit(report: dict, fmt: str) -> None:
     sys.stdout.flush()
 
 
-def _exit_for(status: str) -> int:
-    return 0 if status in ("verified", "sampled_pass", "linked") else 1
-
-
-def _run_campaign_check(args, batches, check) -> tuple[dict, CampaignRun]:
-    """Run one campaign check over a stream of instance batches; the
-    verdict dict without its detail, and the campaign's counts."""
-    t0 = time.perf_counter()
-    run = campaign(batches, check, args.jobs, _progress_instances)
-    exhaustive = args.mode == "exhaustive"
-    status = ("counterexample" if run.witness is not None else
-              "verified" if exhaustive else "sampled_pass")
-    return {"status": status, "checked": run.checked, "witness": run.witness,
-            "elapsed_ms": int((time.perf_counter() - t0) * 1000),
-            "seed": None if exhaustive else args.seed}, run
-
-
 def _default_k(d: int) -> int:
     return (d + 1) // 2
 
 
-# -- verify: linkedness checks ---------------------------------------------------
+def _route(c: PolytopalComplex, pairs, forbidden) -> Linkage:
+    """Route `pairs` in the polytope `c`: in even dimension around the one
+    vertex of `forbidden` (strong_link_even), in odd dimension with none
+    forbidden (link_in_polytope)."""
+    terms = [v for p in pairs for v in p]
+    if (c.dim + 1) % 2 == 0:
+        return strong_link_even(c, terms + list(forbidden), pairs,
+                                forbidden[0])
+    return link_in_polytope(c, terms, pairs)
 
 
-def _check_linked(args, spec: InstanceSpec, strong: bool) -> dict:
+# -- verify: the checks -----------------------------------------------------------
+#
+# A check maps (args, spec, complex) to (witness, checked, detail): its first
+# failing instance or None, the instances checked up to and including it,
+# and the verdict's detail ({} for none).  `_cmd_verify` builds the complex,
+# times the check and writes the verdict.
+
+
+def _check_linked(args, spec: InstanceSpec, c: PolytopalComplex,
+                  strong: bool):
     if args.k is None:
         raise UsageError("--k is required for linkedness checks")
     if args.k < 1:
         raise UsageError(f"--k must be at least 1, got {args.k}")
-    c = build_complex(spec)
-    g = c.graph()
     symmetry = None
     if args.symmetry:
         if spec.kind != "cube":
             raise UsageError("--symmetry applies to --kind cube only")
         symmetry = spec.dim
     fn = verify_strongly_linked if strong else verify_k_linked
-    verdict = fn(g, args.k, mode=args.mode, symmetry=symmetry,
+    verdict = fn(c.graph(), args.k, mode=args.mode, symmetry=symmetry,
                  samples=args.samples, seed=args.seed, budget=args.budget,
                  jobs=args.jobs, progress=_progress_instances)
-    return verdict.to_json_dict(witness_graph_repr=_spec_dict(spec))
+    v = verdict.to_json_dict(witness_graph_repr=asdict(spec))
+    return v["witness"], v["checked"], v.get("detail", {})
 
 
 # -- verify: associated-pairs bound sweep ---------------------------------------
 
 
-def _check_lemma6(args, spec: InstanceSpec) -> dict:
+def _check_lemma6(args, spec: InstanceSpec, c: PolytopalComplex):
     import numpy as np
     if spec.kind != "cube":
         raise UsageError("the associated-pairs sweep runs on --kind cube")
     d = spec.dim
-    t0 = time.perf_counter()
     if args.mode == "exhaustive":
         if d > 4:
             raise UsageError("exhaustive subset sweep needs dim <= 4; "
                              "use --mode sampled")
         masks = np.arange(1, 1 << (1 << d), dtype=np.uint64)
-        seed = None
     else:
         rng = np.random.default_rng(args.seed)
         n = args.samples
@@ -177,32 +167,25 @@ def _check_lemma6(args, spec: InstanceSpec) -> dict:
             lo = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
             masks = (hi << np.uint64(32)) | lo
             masks[masks == 0] = np.uint64(1)
-        seed = args.seed
     counts = associated_counts_bulk(d, masks)
     sizes = np.bitwise_count(masks).astype(np.int64)
     bad = np.nonzero(counts > sizes - 1)[0]
-    ms = int((time.perf_counter() - t0) * 1000)
     witness = None
     if len(bad):
         m = int(masks[bad[0]])
         witness = {"vertices": [v for v in range(1 << d) if (m >> v) & 1],
                    "associated_pairs": int(counts[bad[0]]),
                    "bound": int(sizes[bad[0]]) - 1}
-    status = ("counterexample" if witness is not None else
-              "verified" if args.mode == "exhaustive" else "sampled_pass")
-    return {"status": status, "checked": int(len(masks)), "witness": witness,
-            "elapsed_ms": ms, "seed": seed}
+    return witness, int(len(masks)), {}
 
 
-# -- verify: separators -----------------------------------------------------------
+# -- verify: separators and K_{2,3} -----------------------------------------------
 
 
-def _check_separators(args, spec: InstanceSpec) -> dict:
+def _check_separators(args, spec: InstanceSpec, c: PolytopalComplex):
     from .oracle import enumerate_separators
-    c = build_complex(spec)
     g = c.graph()
     size = args.k if args.k is not None else spec.dim
-    t0 = time.perf_counter()
     seps = enumerate_separators(g, size)
     witness = None
     for s in seps:
@@ -211,21 +194,20 @@ def _check_separators(args, spec: InstanceSpec) -> dict:
         if edge is not None:
             witness = {"separator": list(s), "edge": list(edge)}
             break
-    ms = int((time.perf_counter() - t0) * 1000)
     n = len(list(g.vertices()))
-    return {"status": "counterexample" if witness else "verified",
-            "checked": math.comb(n, size), "witness": witness,
-            "elapsed_ms": ms, "seed": None,
-            "detail": {"separators": len(seps), "size": size}}
+    return (witness, math.comb(n, size),
+            {"separators": len(seps), "size": size})
+
+
+def _check_k23(args, spec: InstanceSpec, c: PolytopalComplex):
+    g = c.graph()
+    found = k23_witness(g)
+    witness = None if found is None else {
+        "pair": list(found[:2]), "common_neighbours": list(found[2])}
+    return witness, math.comb(g.num_vertices, 2), {}
 
 
 # -- verify: star routing equivalence --------------------------------------------
-
-
-def _star_of(spec: InstanceSpec):
-    base = build_complex(spec)
-    centre = default_star_center(spec)
-    return star_instance(base, centre)
 
 
 def _centre_first(pr, centre):
@@ -311,8 +293,8 @@ class _StarCheck:
         return None
 
 
-def _check_star_lemma(args, spec: InstanceSpec) -> dict:
-    vs = _star_of(spec)
+def _check_star_lemma(args, spec: InstanceSpec, c: PolytopalComplex):
+    vs = star_instance(c, default_star_center(spec))
     star, centre = vs.complex, vs.center
     d = star.dim + 1
     if d % 2 == 0:
@@ -321,23 +303,41 @@ def _check_star_lemma(args, spec: InstanceSpec) -> dict:
     ids = sorted(star.vertex_ids)
     insts = (_star_exhaustive(ids, centre, k) if args.mode == "exhaustive"
              else _star_sampled(ids, centre, k, args.samples, args.seed))
-    verdict, run = _run_campaign_check(
-        args, _batched(insts), _StarCheck(star, centre, args.budget))
-    verdict["detail"] = {"linked": run.tally.get("linked", 0),
-                         "refused": run.tally.get("refused", 0),
-                         "branches": dict(sorted(run.branches.items()))}
-    return verdict
+    run = campaign(_batched(insts), _StarCheck(star, centre, args.budget),
+                   args.jobs, _progress_instances)
+    return run.witness, run.checked, {
+        "linked": run.tally.get("linked", 0),
+        "refused": run.tally.get("refused", 0),
+        "branches": dict(sorted(run.branches.items()))}
 
 
 # -- verify: star structure lemmas ------------------------------------------------
 
 
-def _check_technical(args, spec: InstanceSpec) -> dict:
-    c = build_complex(spec)
+def _frames(c: PolytopalComplex):
+    """The technical lemma's frames (star, s1, s2, f1, f12), star by star:
+    s1 a vertex of c, s2 another vertex of its star, f12 a star facet on
+    s2 and f1 one off it.  A progress line follows each finished star."""
+    frames = 0
+    for s1 in sorted(c.vertex_ids):
+        st = vertex_star(c, s1)
+        sfacets = st.facets()
+        for s2 in sorted(st.vertex_ids):
+            if s2 == s1:
+                continue
+            with12 = [h for h in sfacets if s2 in st.face_vertices(h)]
+            without = [h for h in sfacets if s2 not in st.face_vertices(h)]
+            for f12 in with12:
+                for f1 in without:
+                    frames += 1
+                    yield st, s1, s2, f1, f12
+        _progress(f"progress: star of {s1} done ({frames} frames so far)")
+
+
+def _check_technical(args, spec: InstanceSpec, c: PolytopalComplex):
     d = c.dim + 1
     if d < 4:
         raise UsageError("structure checks need dimension >= 4")
-    t0 = time.perf_counter()
     checked = 0
     witness = None
     for f in c.facets():
@@ -351,44 +351,21 @@ def _check_technical(args, spec: InstanceSpec) -> dict:
             break
     frames = 0
     if witness is None:
-        for s1 in sorted(c.vertex_ids):
-            st = vertex_star(c, s1)
-            sfacets = st.facets()
-            for s2 in sorted(st.vertex_ids):
-                if s2 == s1:
-                    continue
-                with12 = [h for h in sfacets
-                          if s2 in st.face_vertices(h)]
-                without = [h for h in sfacets
-                           if s2 not in st.face_vertices(h)]
-                for f12 in with12:
-                    for f1 in without:
-                        frames += 1
-                        rep = technical_lemma_check(st, s1, s2, f1, f12)
-                        if not rep.ok:
-                            witness = {
-                                "kind": "frame", "s1": s1, "s2": s2,
-                                "f1": list(st.face_vertices(f1)),
-                                "f12": list(st.face_vertices(f12)),
-                                "report": {
-                                    "strongly_connected": rep.strongly_connected,
-                                    "paths_avoid_f12": rep.paths_avoid_f12,
-                                    "antistar_connected": rep.antistar_connected,
-                                }}
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
+        for frames, (st, s1, s2, f1, f12) in enumerate(_frames(c), 1):
+            rep = technical_lemma_check(st, s1, s2, f1, f12)
+            if not rep.ok:
+                witness = {
+                    "kind": "frame", "s1": s1, "s2": s2,
+                    "f1": list(st.face_vertices(f1)),
+                    "f12": list(st.face_vertices(f12)),
+                    "report": {
+                        "strongly_connected": rep.strongly_connected,
+                        "paths_avoid_f12": rep.paths_avoid_f12,
+                        "antistar_connected": rep.antistar_connected,
+                    }}
                 break
-            _progress(f"progress: star of {s1} done "
-                      f"({frames} frames so far)")
-    ms = int((time.perf_counter() - t0) * 1000)
-    return {"status": "counterexample" if witness else "verified",
-            "checked": checked + frames, "witness": witness,
-            "elapsed_ms": ms, "seed": None,
-            "detail": {"facet_antistars": checked, "frames": frames}}
+    return (witness, checked + frames,
+            {"facet_antistars": checked, "frames": frames})
 
 
 # -- verify: constructive routing campaigns ---------------------------------------
@@ -397,29 +374,27 @@ def _check_technical(args, spec: InstanceSpec) -> dict:
 @dataclass(frozen=True)
 class _ConstructCheck:
     """Campaign check: the constructive router links an oracle instance
-    (subset, forbidden, pairs) and its output validates.  A validation
-    error is the witness; a ProofStepError is an internal failure, not a
-    counterexample, and propagates to `main` (exit 3)."""
+    (subset, forbidden, pairs) and its output validates.  An invalid
+    linkage is the witness.  Any other router error is an internal
+    failure, not a counterexample: a ProofStepError, or another ValueError
+    raised as ProofStepError "construct", propagates to `main` (exit 3)."""
     complex: PolytopalComplex
-    even: bool
 
     def __call__(self, inst, tally: dict):
         subset, forb, pr = inst
         try:
-            if self.even:
-                strong_link_even(self.complex, list(subset), pr, forb[0])
-            else:
-                link_in_polytope(self.complex, list(subset), pr)
-        except ValueError as e:
+            _route(self.complex, pr, forb)
+        except InvalidLinkage as e:
             return {"pairs": [list(p) for p in pr],
                     "forbidden": list(forb),
                     "error": str(e)}
+        except ValueError as e:
+            raise ProofStepError("construct", str(e)) from e
         return None
 
 
-def _check_link_construct(args, spec: InstanceSpec) -> dict:
+def _check_link_construct(args, spec: InstanceSpec, c: PolytopalComplex):
     from .oracle import _linked_instances, _sampled_batches
-    c = build_complex(spec)
     d = c.dim + 1
     if d < 4:
         raise UsageError("constructive routing needs dimension >= 4")
@@ -429,10 +404,25 @@ def _check_link_construct(args, spec: InstanceSpec) -> dict:
     batches = (_batched(_linked_instances(ids, k, even))
                if args.mode == "exhaustive"
                else _sampled_batches(ids, k, even, args.samples, args.seed))
-    verdict, run = _run_campaign_check(args, batches,
-                                       _ConstructCheck(c, even))
-    verdict["detail"] = {"branches": dict(sorted(run.branches.items()))}
-    return verdict
+    run = campaign(batches, _ConstructCheck(c), args.jobs,
+                   _progress_instances)
+    return run.witness, run.checked, {
+        "branches": dict(sorted(run.branches.items()))}
+
+
+_CHECKS = {
+    "k_linked": functools.partial(_check_linked, strong=False),
+    "strongly_linked": functools.partial(_check_linked, strong=True),
+    "lemma6": _check_lemma6,
+    "separators": _check_separators,
+    "star_lemma": _check_star_lemma,
+    "technical_lemma": _check_technical,
+    "k23": _check_k23,
+    "link_construct": _check_link_construct,
+}
+CHECKS = tuple(_CHECKS)
+# checks with no sampled form: a sampled run would report an exhaustive one
+_EXHAUSTIVE_ONLY = ("separators", "technical_lemma", "k23")
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -443,43 +433,30 @@ def _cmd_verify(args) -> int:
                           or args.mode != "exhaustive"):
         raise UsageError("--symmetry applies to exhaustive k_linked and "
                          "strongly_linked checks only")
+    if args.check in _EXHAUSTIVE_ONLY and args.mode != "exhaustive":
+        raise UsageError(f"{args.check} has no sampled form; drop "
+                         f"--mode sampled")
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     if args.samples < 1:
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
     spec = _spec_from_args(args)
-    if args.check == "k_linked":
-        verdict = _check_linked(args, spec, strong=False)
-    elif args.check == "strongly_linked":
-        verdict = _check_linked(args, spec, strong=True)
-    elif args.check == "lemma6":
-        verdict = _check_lemma6(args, spec)
-    elif args.check == "separators":
-        verdict = _check_separators(args, spec)
-    elif args.check == "k23":
-        g = build_complex(spec).graph()
-        t0 = time.perf_counter()
-        found = k23_witness(g)
-        witness = None if found is None else {
-            "pair": list(found[:2]), "common_neighbours": list(found[2])}
-        verdict = {"status": "counterexample" if witness else "verified",
-                   "checked": math.comb(g.num_vertices, 2),
-                   "witness": witness,
-                   "elapsed_ms": int((time.perf_counter() - t0) * 1000),
-                   "seed": None}
-    elif args.check == "star_lemma":
-        verdict = _check_star_lemma(args, spec)
-    elif args.check == "technical_lemma":
-        verdict = _check_technical(args, spec)
-    elif args.check == "link_construct":
-        verdict = _check_link_construct(args, spec)
-    else:
-        raise UsageError(f"unknown check {args.check!r}")
+    c = build_complex(spec)
+    t0 = time.perf_counter()
+    witness, checked, detail = _CHECKS[args.check](args, spec, c)
+    exhaustive = args.mode == "exhaustive"
+    verdict = {"status": ("counterexample" if witness is not None else
+                          "verified" if exhaustive else "sampled_pass"),
+               "checked": checked, "witness": witness,
+               "elapsed_ms": int((time.perf_counter() - t0) * 1000),
+               "seed": None if exhaustive else args.seed}
+    if detail:
+        verdict["detail"] = detail
     report = {"command": "verify", "check": args.check,
-              "instance": _spec_dict(spec), "k": args.k,
+              "instance": asdict(spec), "k": args.k,
               "mode": args.mode, "verdict": verdict}
     _emit(report, args.format)
-    return _exit_for(verdict["status"])
+    return 0 if witness is None else 1
 
 
 def _load_problem(path: str) -> dict:
@@ -575,21 +552,14 @@ def _construct_route(args, gspec, pairs, forbidden):
             else:
                 res.check_against(LinkageProblem(vs.complex.graph(), pairs))
                 paths = [list(q) for q in res.paths]
-        elif (c.dim + 1) % 2 == 0:
-            if len(forbidden) != 1:
-                raise UsageError("even dimension needs exactly one "
-                                 "forbidden vertex")
-            method = "strong_link_even"
-            terms = [v for p in pairs for v in p]
-            lk = strong_link_even(c, terms + forbidden, pairs, forbidden[0])
-            paths = [list(q) for q in lk.paths]
         else:
-            if forbidden:
-                raise UsageError("odd dimension takes no forbidden set")
-            method = "link_in_polytope"
-            terms = [v for p in pairs for v in p]
-            lk = link_in_polytope(c, terms, pairs)
-            paths = [list(q) for q in lk.paths]
+            even = (c.dim + 1) % 2 == 0
+            if len(forbidden) != (1 if even else 0):
+                raise UsageError("even dimension needs exactly one "
+                                 "forbidden vertex" if even else
+                                 "odd dimension takes no forbidden set")
+            method = "strong_link_even" if even else "link_in_polytope"
+            paths = [list(q) for q in _route(c, pairs, forbidden).paths]
     elif isinstance(gspec, list):
         n = len(gspec)
         adj = [0] * n
@@ -624,7 +594,7 @@ def _cmd_inspect(args) -> int:
     g = c.graph()
     fvec = list(c.f_vector())
     euler = sum((-1) ** j * n for j, n in enumerate(fvec))
-    report = {"command": "inspect", "instance": _spec_dict(spec),
+    report = {"command": "inspect", "instance": asdict(spec),
               "dim": c.dim, "num_vertices": c.num_vertices,
               "f_vector": fvec, "facets": fvec[-1] if fvec else 0,
               "euler_characteristic": euler,
@@ -679,12 +649,9 @@ def _cmd_bench(args) -> int:
 
         def one_route():
             subset, forb, pr = next(routes)
-            if even:
-                strong_link_even(c, list(subset), pr, forb[0])
-            else:
-                link_in_polytope(c, list(subset), pr)
+            _route(c, pr, forb)
         clock("construct_linkage", one_route, m)
-    report = {"command": "bench", "instance": _spec_dict(spec),
+    report = {"command": "bench", "instance": asdict(spec),
               "seed": args.seed, "benchmarks": marks}
     _emit(report, args.format)
     return 0

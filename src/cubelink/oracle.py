@@ -99,31 +99,36 @@ class LinkageProblem:
         }
 
 
+class InvalidLinkage(ValueError):
+    """A linkage that does not solve its problem (`Linkage.check_against`)."""
+
+
 @dataclass(frozen=True)
 class Linkage:
     paths: tuple[tuple[int, ...], ...]
 
     def check_against(self, p: LinkageProblem) -> "Linkage":
         if len(self.paths) != len(p.pairs):
-            raise ValueError("one path per pair required")
+            raise InvalidLinkage("one path per pair required")
         seen: set[int] = set()
         for path, pair in zip(self.paths, p.pairs):
             if not path:
-                raise ValueError("empty path")
+                raise InvalidLinkage("empty path")
             if {path[0], path[-1]} != set(pair):
-                raise ValueError(f"path endpoints {path[0]},{path[-1]} "
-                                 f"do not match pair {pair}")
+                raise InvalidLinkage(f"path endpoints {path[0]},{path[-1]} "
+                                     f"do not match pair {pair}")
             if len(set(path)) != len(path):
-                raise ValueError("path revisits a vertex")
+                raise InvalidLinkage("path revisits a vertex")
             for u, v in zip(path, path[1:]):
                 if not p.graph.has_edge(u, v):
-                    raise ValueError(f"non-edge {u}-{v} on a path")
+                    raise InvalidLinkage(f"non-edge {u}-{v} on a path")
             if seen & set(path):
-                raise ValueError("paths share a vertex")
+                raise InvalidLinkage("paths share a vertex")
             seen |= set(path)
             hit = p.forbidden & set(path)
             if hit:
-                raise ValueError(f"path meets forbidden vertices {sorted(hit)}")
+                raise InvalidLinkage(f"path meets forbidden vertices "
+                                     f"{sorted(hit)}")
         return self
 
 

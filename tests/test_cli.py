@@ -16,6 +16,7 @@ import cubelink.cli
 from cubelink.cli import main
 from cubelink.generators import glued_cubes
 from cubelink.linker import ProofStepError
+from cubelink.oracle import InvalidLinkage
 
 
 def run(capsys, *argv):
@@ -362,21 +363,26 @@ def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == "" and "CUBELINK_JOBS" in err
     monkeypatch.delenv("CUBELINK_JOBS")
-    # --symmetry sweeps orbits of exhaustive linkedness campaigns only;
-    # anywhere else it would be ignored, so it is refused
-    for argv in (("--dim", "4", "--check", "k_linked", "--k", "2",
-                  "--mode", "sampled", "--samples", "50"),
+    # --symmetry sweeps orbits of exhaustive linkedness campaigns only, and
+    # separators, k23 and technical_lemma have no sampled form; anywhere
+    # else the flag would be ignored, so it is refused
+    sampled = ("--mode", "sampled", "--samples", "50")
+    for argv in (("--dim", "4", "--check", "k_linked", "--k", "2", *sampled,
+                  "--symmetry"),
                  ("--dim", "4", "--check", "strongly_linked", "--k", "2",
-                  "--mode", "sampled", "--samples", "50"),
-                 ("--dim", "5", "--check", "star_lemma", "--mode",
-                  "sampled", "--samples", "50"),
-                 ("--dim", "5", "--check", "link_construct", "--mode",
-                  "sampled", "--samples", "50"),
-                 ("--dim", "3", "--check", "lemma6")):
-        code, out, err = run(capsys, "verify", "--kind", "cube", *argv,
-                             "--symmetry")
-        assert code == 2 and out == "" and "--symmetry" in err
-        assert err.startswith("error: ")
+                  *sampled, "--symmetry"),
+                 ("--dim", "5", "--check", "star_lemma", *sampled,
+                  "--symmetry"),
+                 ("--dim", "5", "--check", "link_construct", *sampled,
+                  "--symmetry"),
+                 ("--dim", "3", "--check", "lemma6", "--symmetry"),
+                 ("--dim", "3", "--check", "separators", *sampled),
+                 ("--dim", "3", "--check", "k23", *sampled),
+                 ("--dim", "4", "--check", "technical_lemma", *sampled)):
+        code, out, err = run(capsys, "verify", "--kind", "cube", *argv)
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert ("--symmetry" if "--symmetry" in argv
+                else "--mode sampled") in err
     for check in (("k_linked", "--k", "2"), ("star_lemma",)):
         for samples in ("0", "-5"):
             code, out, err = run(capsys, "verify", "--kind", "cube", "--dim",
@@ -484,14 +490,55 @@ def test_proof_step_failure_in_link_construct_exits_three(capsys,
     assert code == 3 and out == "" and want in err
 
     def invalid(*args):
-        raise ValueError("paths are not disjoint")
+        raise InvalidLinkage("paths share a vertex")
 
     # a validation error stays a counterexample witness
     with monkeypatch.context() as m:
         m.setattr(cubelink.cli, "link_in_polytope", invalid)
         code, rep = run_json(capsys, *argv, "--jobs", "1")
     assert code == 1
-    assert rep["verdict"]["witness"]["error"] == "paths are not disjoint"
+    assert rep["verdict"]["witness"]["error"] == "paths share a vertex"
+
+    def misrouted(*args):
+        raise ValueError("terminal 5 outside the star")
+
+    # any other ValueError is a router fault, not a counterexample
+    with monkeypatch.context() as m:
+        m.setattr(cubelink.cli, "link_in_polytope", misrouted)
+        code, out, err = run(capsys, *argv, "--jobs", "1")
+    assert code == 3 and out == ""
+    assert ("error: internal proof step construct failed: terminal 5 "
+            "outside the star") in err
+
+
+def test_benchmark_verify_calls_reach_the_traced_oracle(capsys,
+                                                      monkeypatch):
+    # perfbench's oracle.verify layer is the time spent in these two cli
+    # globals, wrapped by name (worker.py REBINDS): a verify that reached
+    # the oracle some other way would read 0 there.  The command lines are
+    # its orbit_sweep and sampled_campaign calls at smoke size.
+    calls = []
+
+    def counted(name):
+        fn = getattr(cubelink.cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("verify_k_linked", "verify_strongly_linked"):
+        monkeypatch.setattr(cubelink.cli, name, counted(name))
+    code, _ = run_json(capsys, "verify", "--kind", "cube", "--dim", "4",
+                       "--check", "strongly_linked", "--k", "2",
+                       "--symmetry", "--jobs", "1")
+    assert code == 0 and calls == ["verify_strongly_linked"]
+    code, _ = run_json(capsys, "verify", "--kind", "glued_chain", "--dim",
+                       "5", "--chain-length", "2", "--check", "k_linked",
+                       "--k", "3", "--mode", "sampled", "--samples", "100",
+                       "--seed", "1", "--jobs", "1")
+    assert code == 0
+    assert calls == ["verify_strongly_linked", "verify_k_linked"]
 
 
 def test_budget_cap_exits_two(tmp_path, capsys):
@@ -689,8 +736,8 @@ def _argv(draw):
     if command == "verify":
         flags += [
             _flag("--check", cubelink.cli.CHECKS, junk(None)),
-            _flag("--k", [0, 1, 2] + ([] if small else [3, 4]),
-                  junk(None, -1)),
+            _flag("--k", [1, 2] + ([] if small else [3, 4]),
+                  junk(None, 0, -1)),
             hst.just([] if mode is None else ["--mode", mode]),
             _flag("--samples", [1, 17, 50], junk(None, 0, -1)),
             _flag("--jobs", [1], junk(None, 0, -1)),
