@@ -1,7 +1,7 @@
+import hashlib
 import itertools
 import math
 import random
-
 
 from cubelink.cube import cube_graph, distance
 from cubelink.oracle import LinkageProblem, solve_linkage
@@ -177,3 +177,24 @@ def test_canonical_marked_instances_expand_to_labelled_total():
         for t in tables:
             slabelled.add(apply_instance(t, inst))
     assert len(slabelled) == sinfo["labelled_total"]
+
+
+ORBIT_WALK_DIGEST = \
+    "52925ebf764e274f627c3228c11f6d1e9657e50e0bc5abe781636ffac11920ad"
+
+
+def test_orbit_walk_output_pinned():
+    """sha256 over the canonical subset lists and the canonical marked
+    instances with their info, recorded on the mask walk that stored every
+    subset as a combinations row and a uint64 mask."""
+    h = hashlib.sha256()
+    for d, sizes in ((3, range(2, 5)), (4, range(3, 9)), (5, range(4, 7))):
+        for size in sizes:
+            subs, _ = canonical_subsets(d, size)
+            h.update(repr((d, size, subs)).encode())
+    runs = [(d, k, strong) for d, ks in ((3, (1, 2)), (4, (1, 2)), (5, (2,)))
+            for k in ks for strong in (False, True)] + [(5, 3, False)]
+    for d, k, strong in runs:
+        insts, info = canonical_marked_instances(d, k, strong)
+        h.update(repr((d, k, strong, insts, sorted(info.items()))).encode())
+    assert h.hexdigest() == ORBIT_WALK_DIGEST
