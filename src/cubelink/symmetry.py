@@ -8,11 +8,16 @@ representatives and their orbit sizes.  Canonical means lexicographically
 least image, comparing instances as (sorted subset, forbidden part,
 sorted pairing) tuples.
 
-The subset stage is the heavy part.  Subsets become numpy uint64 bitmasks
-over *reversed* vertex ids, under which "lexicographically least subset" is
-exactly "numerically greatest mask".  One walk in lexicographic order marks
-each orbit seen at its least member, in one vectorized step over the group;
-the same image masks give each subset's setwise stabilizer.
+The subset stage walks the m-subsets by lexicographic rank in the
+combinatorial number system (Knuth, TAOCP 7.2.1.3) and keeps one byte per
+rank, never the subsets themselves.  Each step unranks the least rank not
+yet seen, which is the least member of a new orbit; gathers the subset's
+images under every group element from an (n, |G|) vertex table; ranks all
+|G| images at once from each member's count of smaller members; and marks
+those ranks seen.  The instance stage works on subset positions: each
+element of the subset's setwise stabilizer, read from the same image
+gather, permutes the positions, and an instance is canonical iff no such
+permutation sends it to a lexicographically smaller instance.
 """
 
 from __future__ import annotations
@@ -31,25 +36,21 @@ def group_order(d: int) -> int:
     return factorial(d) << d
 
 
-def group_tables(d: int) -> list[tuple[int, ...]]:
+def group_tables(d: int) -> np.ndarray:
     """All 2^d * d! vertex permutation tables of the signed permutation
-    group acting on bit patterns: element (perm, flip) sends v to (bits of
-    v moved by perm) xor flip.  Deterministic order, identity first."""
+    group acting on bit patterns, one uint8 row each: element (perm, flip)
+    sends v to (bits of v moved by perm) xor flip.  Rows run over perms in
+    itertools order and, within a perm, over flips ascending, so the
+    identity is row 0."""
     if d > 6:
         raise ValueError("group enumeration supported for d <= 6")
-    n = 1 << d
-    out = []
-    for perm in itertools.permutations(range(d)):
-        base = [0] * n
-        for v in range(n):
-            w = 0
-            for i in range(d):
-                if (v >> i) & 1:
-                    w |= 1 << perm[i]
-            base[v] = w
-        for flip in range(n):
-            out.append(tuple(w ^ flip for w in base))
-    return out
+    v = np.arange(1 << d)
+    perms = np.array(list(itertools.permutations(range(d))),
+                     dtype=np.intp).reshape(-1, d)
+    bits = (v[:, None] >> np.arange(d)) & 1                # (n, d)
+    moved = (bits << perms[:, None, :]).sum(axis=2)        # (d!, n)
+    return (moved[:, None, :] ^ v[None, :, None]).reshape(-1, 1 << d) \
+        .astype(np.uint8)
 
 
 def random_table(d: int, rng: random.Random) -> tuple[int, ...]:
@@ -105,61 +106,102 @@ def canonical_instance(d: int, inst: Instance) -> Instance:
     return best
 
 
-# -- vectorized canonical subsets ----------------------------------------------
+# -- the rank-indexed orbit walk --------------------------------------------------
 
 
-def _image_bits(tables: Sequence[Sequence[int]], n: int) -> np.ndarray:
-    """(|G|, n) uint64 table of vertex image bits on reversed ids:
-    1 << (n-1 - t[v])."""
-    return np.uint64(1) << (np.uint64(n - 1) - np.asarray(tables, np.uint64))
+def _vertex_images(tables) -> np.ndarray:
+    """(n, |G|) uint8 table: row v holds v's image under every element."""
+    return np.ascontiguousarray(np.asarray(tables, dtype=np.uint8).T)
 
 
-def _image_masks(bits: np.ndarray, subset: Sequence[int]) -> np.ndarray:
-    """Reversed-id masks of the subset's image under every group element."""
-    return np.bitwise_or.reduce(bits[:, list(subset)], axis=1)
+def _rank_shares(n: int, m: int) -> np.ndarray:
+    """Flat int64 table whose entry x*m + p is vertex x's share of the
+    lexicographic rank of an m-subset of range(n) in which p members are
+    smaller than x: the rank of c_0 < ... < c_{m-1} is
+    C(n, m) - 1 - sum_p C(n-1-c_p, m-p), and the constant rides on the
+    one member with p = 0."""
+    last = comb(n, m) - 1
+    return np.array([(last if p == 0 else 0) - comb(n - 1 - x, m - p)
+                     for x in range(n) for p in range(m)], dtype=np.int64)
 
 
-def _stabilizer(tables: list, bits: np.ndarray, subset: Sequence[int]) -> list:
-    """Elements fixing the subset setwise (tables[0] is the identity)."""
-    images = _image_masks(bits, subset)
-    return [tables[g] for g in np.flatnonzero(images == images[0])]
+def _unrank(rank: int, n: int, m: int) -> tuple[int, ...]:
+    """The m-subset of range(n) with the given lexicographic rank: each
+    member is the least vertex whose share of C(n, m) - 1 - rank fits."""
+    rest = comb(n, m) - 1 - rank
+    out = []
+    x = 0
+    for p in range(m):
+        while comb(n - 1 - x, m - p) > rest:
+            x += 1
+        rest -= comb(n - 1 - x, m - p)
+        out.append(x)
+        x += 1
+    return tuple(out)
+
+
+def _image_ranks(images: np.ndarray, subset: Sequence[int],
+                 shares: np.ndarray) -> np.ndarray:
+    """Lexicographic rank of the subset's image under every element."""
+    img = images[list(subset)]                             # (m, |G|)
+    smaller = (img[:, None, :] > img[None, :, :]).sum(axis=1, dtype=np.uint8)
+    at = np.multiply(img, len(subset), dtype=np.intp)
+    at += smaller
+    return shares.take(at).sum(axis=0)
+
+
+def _stabilizer(images: np.ndarray,
+                subset: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The elements fixing the subset setwise, ascending (0 is the
+    identity), and the permutation of subset positions each induces: row
+    i of the (|stab|, m) array sends position p to the position of the
+    i-th element's image of subset[p]."""
+    m = len(subset)
+    position = np.full(len(images), m, dtype=np.uint8)
+    position[list(subset)] = np.arange(m)
+    moved = position.take(images[list(subset)])            # m: left the subset
+    stab = np.flatnonzero(moved.max(axis=0) < m)
+    return stab, moved[:, stab].T
 
 
 def canonical_subsets(d: int, size: int,
-                      tables: Optional[list] = None) -> tuple[list[tuple[int, ...]], list]:
+                      tables=None) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """All size-subsets of V(Q_d) that are lexicographically least in their
     orbit, in ascending order, plus the group tables used.
 
-    Works on reversed vertex ids (u = n-1-v), where subset S precedes T
-    lexicographically iff S's reversed bitmask exceeds T's.  The walk meets
-    each orbit first at its least member and marks the orbit's masks seen.
+    One byte per lexicographic rank says whether the walk has seen that
+    subset.  The forward scan to the next unseen rank stops at its first
+    hit, and that rank is the least member of an orbit not met yet.
     """
     n = 1 << d
     if n > 64:
-        raise ValueError("mask sweep supports d <= 6")
+        raise ValueError("orbit walk supports d <= 6")
     if tables is None:
         tables = group_tables(d)
+    images = _vertex_images(tables)
+    shares = _rank_shares(n, size)
     total = comb(n, size)
-    combos = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n), size)),
-        dtype=np.uint8, count=total * size).reshape(total, size)
-    own_bits = _image_bits([range(n)], n)[0]
-    ascending = np.zeros(total, dtype=np.uint64)  # combinations reversed
-    for column in combos[::-1].T:
-        ascending |= own_bits[column]
-    bits = _image_bits(tables, n)
     unseen = np.ones(total, dtype=bool)
     subs = []
-    i = 0
-    while i < total:
-        i += int(unseen[i:].argmax())
-        if not unseen[i]:
+    rank = 0
+    while rank < total:
+        rank += int(unseen[rank:].argmax())
+        if not unseen[rank]:
             break
-        subs.append(tuple(combos[i].tolist()))
-        images = np.sort(_image_masks(bits, subs[-1]))  # sorted: faster search
-        unseen[total - 1 - np.searchsorted(ascending, images)] = False
-        i += 1
+        subs.append(_unrank(rank, n, size))
+        unseen[_image_ranks(images, subs[-1], shares)] = False
+        rank += 1
     return subs, tables
+
+
+def _instance_shapes(size: int, strong: bool) -> list:
+    """The instances on subset positions 0..size-1, in lexicographic order,
+    as (forbidden positions, pairing) pairs."""
+    positions = tuple(range(size))
+    if strong:
+        return [((x,), pr) for x in positions
+                for pr in pairings(positions[:x] + positions[x + 1:])]
+    return [((), pr) for pr in pairings(positions)]
 
 
 def canonical_marked_instances(d: int, k: int,
@@ -174,27 +216,52 @@ def canonical_marked_instances(d: int, k: int,
     count, group order, and the labelled-instance total the orbits expand
     back to (orbit-stabilizer), which callers can check against the direct
     binomial count.
+
+    Instances are decided on subset positions.  Each shape is coded by its
+    partner array (an unpaired position is its own partner) read in base
+    `size`; a stabilizer permutation g sends partner array q to q' with
+    q'[g[p]] = g[q[p]].  Looking the image codes up among the shapes gives
+    each element's image index of each shape; shapes are listed in
+    lexicographic order, so a shape is canonical iff its index is the
+    least in its column, and its fixed count is the matches there.
     """
     size = 2 * k + (1 if strong else 0)
+    if size > 15:
+        raise ValueError(f"canonical instances take at most 15 marked "
+                         f"vertices, got {size}")
     subs, tables = canonical_subsets(d, size)
     order = len(tables)
-    bits = _image_bits(tables, 1 << d)
+    images = _vertex_images(tables)
+    shapes = _instance_shapes(size, strong)
+    partner = np.tile(np.arange(size), (len(shapes), 1))
+    for row, (_, pr) in zip(partner, shapes):
+        for a, b in pr:
+            row[a], row[b] = b, a
+    digit = size ** np.arange(size, dtype=np.int64)
+    codes = partner @ digit
+    by_code = np.argsort(codes)
+    sorted_codes = codes[by_code]
+    own = np.arange(len(shapes))
+    pair_ids = {ab: i for i, ab in
+                enumerate(itertools.combinations(range(size), 2))}
+    shape_pairs = [tuple(pair_ids[ab] for ab in pr) for _, pr in shapes]
+    shape_left = [forb[0] if forb else size for forb, _ in shapes]
     out: list[Instance] = []
     labelled_total = 0
     for subset in subs:
-        stab = _stabilizer(tables, bits, subset)
-        if strong:
-            insts = [(subset, (x,), pr)
-                     for x in subset
-                     for pr in pairings(tuple(v for v in subset if v != x))]
-        else:
-            insts = [(subset, (), pr) for pr in pairings(subset)]
-        for inst in insts:
-            images = [apply_instance(t, inst) for t in stab]
-            if inst == min(images):
-                out.append(inst)
-                fixed = sum(1 for img in images if img == inst)
-                labelled_total += order // fixed
+        _, perms = _stabilizer(images, subset)
+        image_codes = (perms[:, partner] * digit[perms][:, None, :]).sum(axis=2)
+        index = by_code[np.searchsorted(sorted_codes, image_codes)]
+        canonical = np.flatnonzero(index.min(axis=0) == own)
+        fixed = (index == own).sum(axis=0)
+        labelled_total += int((order // fixed[canonical]).sum())
+        # this subset's instances share its pair and left-out tuples
+        pairs = [(subset[a], subset[b])
+                 for a, b in itertools.combinations(range(size), 2)]
+        left = [(v,) for v in subset] + [()]
+        for j in canonical.tolist():
+            out.append((subset, left[shape_left[j]],
+                        tuple(map(pairs.__getitem__, shape_pairs[j]))))
     info = {
         "orbits": len(out),
         "group_order": order,

@@ -1,21 +1,27 @@
-"""Acceptance campaign: eleven checks covering every quantitative claim the
-library is built around, at dimensions a desk machine can enumerate.
+"""Acceptance campaign: thirteen checks covering every quantitative claim
+the library is built around, at dimensions a desk machine can enumerate.
 
 Each test is one criterion and prints a one-line summary of the evidence
 (run with -s to see them).  Three sweeps have a full exhaustive form that
 takes tens of minutes; by default they run a seeded sampled form, and
-setting ACCEPTANCE_FULL=1 switches them to the complete enumeration."""
+setting ACCEPTANCE_FULL=1 switches them to the complete enumeration.  The
+Q_6 strongly 3-linked sweep (criterion 13) has no sampled form and runs
+only under ACCEPTANCE_FULL=1."""
 
 import itertools
+import json
 import math
 import os
 import random
 import time
 
 import numpy as np
+import pytest
 
+import cubelink.symmetry
 from conftest import brute_min_vertex_cut, naive_linked, random_graph, \
     random_problem
+from cubelink.cli import main
 from cubelink.complexes import (
     antistar,
     technical_lemma_check,
@@ -376,3 +382,54 @@ def test_criterion_11_oracle_self_consistency():
         triples += 1
     report(f"criterion 11: {cases} oracle-vs-naive cases, "
            f"{triples} menger-vs-cut triples, zero disagreements")
+
+
+def _symmetry_sweep(capsys, monkeypatch, check: str, k: int):
+    """`cubelink verify` of Q_6 up to symmetry: (exit code, verdict, the
+    number of canonical subsets the sweep walked, wall seconds)."""
+    walked = []
+    walk = cubelink.symmetry.canonical_subsets
+
+    def recorded(*args, **kwargs):
+        got = walk(*args, **kwargs)
+        walked.append(len(got[0]))
+        return got
+
+    monkeypatch.setattr(cubelink.symmetry, "canonical_subsets", recorded)
+    t0 = time.perf_counter()
+    code = main(["verify", "--kind", "cube", "--dim", "6", "--check", check,
+                 "--k", str(k), "--symmetry"])
+    wall = time.perf_counter() - t0
+    verdict = json.loads(capsys.readouterr().out)["verdict"]
+    return code, verdict, walked, wall
+
+
+def test_criterion_12_q6_3_linked_symmetry(capsys, monkeypatch):
+    """Q_6 is 3-linked: exhaustive up to symmetry, 37,462 orbits of 6
+    terminals and a pairing standing for all C(64, 6) * 15 labelled ones."""
+    code, v, walked, wall = _symmetry_sweep(capsys, monkeypatch,
+                                            "k_linked", 3)
+    assert code == 0 and v["status"] == "verified"
+    assert v["checked"] == v["detail"]["orbits"] == 37462
+    assert v["detail"]["group_order"] == 46080
+    assert v["detail"]["labelled_total"] == 1124615520 \
+        == math.comb(64, 6) * 15
+    assert walked == [3253]
+    report(f"criterion 12: {v['detail']['orbits']} orbits over "
+           f"{walked[0]} subset orbits verified in {wall:.1f}s")
+
+
+@pytest.mark.skipif(not FULL, reason="Q_6 strongly 3-linked sweep of a "
+                    "minute or more: ACCEPTANCE_FULL=1")
+def test_criterion_13_q6_strongly_3_linked_symmetry(capsys, monkeypatch):
+    """Q_6 is strongly 3-linked, the paper's claim at d = 6: every 7
+    terminals, each choice of the vertex left out and every pairing of the
+    rest, up to symmetry."""
+    code, v, walked, wall = _symmetry_sweep(capsys, monkeypatch,
+                                            "strongly_linked", 3)
+    assert code == 0 and v["status"] == "verified"
+    assert v["checked"] == v["detail"]["orbits"] == 1703441
+    assert v["detail"]["labelled_total"] == 65227700160 \
+        == math.comb(64, 7) * 7 * 15
+    report(f"criterion 13: {v['detail']['orbits']} orbits over "
+           f"{walked[0]} subset orbits verified in {wall:.1f}s")

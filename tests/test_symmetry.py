@@ -6,8 +6,8 @@ import random
 from cubelink.cube import cube_graph, distance
 from cubelink.oracle import LinkageProblem, solve_linkage
 from cubelink.symmetry import (
-    _image_bits,
     _stabilizer,
+    _vertex_images,
     apply_instance,
     canonical_instance,
     canonical_marked_instances,
@@ -24,7 +24,7 @@ def test_group_order():
 
 def test_group_tables_are_the_full_automorphism_set():
     for d in (2, 3):
-        tables = group_tables(d)
+        tables = list(map(tuple, group_tables(d).tolist()))
         assert len(tables) == group_order(d)
         assert len(set(tables)) == len(tables)
         n = 1 << d
@@ -36,7 +36,7 @@ def test_group_tables_are_the_full_automorphism_set():
                 for v in range(u + 1, n):
                     assert g.has_edge(u, v) == g.has_edge(t[u], t[v])
     # closure under composition
-    tables = set(group_tables(3))
+    tables = set(map(tuple, group_tables(3).tolist()))
     sample = random.Random(1).sample(sorted(tables), 12)
     for a in sample:
         for b in sample:
@@ -44,7 +44,7 @@ def test_group_tables_are_the_full_automorphism_set():
 
 
 def test_random_table_is_seeded_group_member():
-    tables = set(group_tables(3))
+    tables = set(map(tuple, group_tables(3).tolist()))
     rng = random.Random(5)
     got = [random_table(3, rng) for _ in range(20)]
     assert all(t in tables for t in got)
@@ -96,7 +96,7 @@ def test_canonical_instance_preserves_linkedness():
 def _brute_least_members(d, size):
     """The first subset of each orbit in itertools.combinations order."""
     n = 1 << d
-    tables = group_tables(d)
+    tables = group_tables(d).tolist()
     seen = set()
     least = []
     for combo in itertools.combinations(range(n), size):
@@ -116,7 +116,8 @@ def test_canonical_subsets_match_brute_orbits():
         assert subs == sorted(subs)
         # each returned subset really is the least in its orbit
         for sub in subs[:10]:
-            least = min(tuple(sorted(t[v] for v in sub)) for t in tables)
+            least = min(tuple(sorted(t[v] for v in sub))
+                        for t in tables.tolist())
             assert least == sub
 
 
@@ -130,14 +131,19 @@ def test_q5_orbit_structure():
 
 def test_stabilizer_matches_set_scan():
     tables = group_tables(4)
-    assert tables[0] == tuple(range(16))            # identity first
-    bits = _image_bits(tables, 16)
+    assert tables[0].tolist() == list(range(16))    # identity first
+    images = _vertex_images(tables)
     subs, _ = canonical_subsets(4, 5, tables)
     assert len(subs) == 27
     for subset in subs:
         sset = set(subset)
-        scan = [t for t in tables if {t[v] for v in subset} == sset]
-        assert _stabilizer(tables, bits, subset) == scan
+        scan = [g for g, t in enumerate(tables.tolist())
+                if {t[v] for v in subset} == sset]
+        stab, perms = _stabilizer(images, subset)
+        assert stab.tolist() == scan
+        # row i moves position p to the position of element i's image
+        assert perms.tolist() == [[subset.index(tables[g][v]) for v in subset]
+                                  for g in scan]
 
 
 def test_canonical_subsets_orbit_sizes_cover_everything():
@@ -145,7 +151,7 @@ def test_canonical_subsets_orbit_sizes_cover_everything():
     subs, tables = canonical_subsets(d, size)
     covered = set()
     for sub in subs:
-        for t in tables:
+        for t in tables.tolist():
             covered.add(tuple(sorted(t[v] for v in sub)))
     assert len(covered) == math.comb(8, 4)
 
@@ -163,7 +169,7 @@ def test_canonical_marked_instances_small():
 def test_canonical_marked_instances_expand_to_labelled_total():
     insts, info = canonical_marked_instances(3, 2, strong=False)
     assert info["labelled_total"] == math.comb(8, 4) * 3
-    tables = group_tables(3)
+    tables = group_tables(3).tolist()
     labelled = set()
     for inst in insts:
         for t in tables:
