@@ -505,27 +505,46 @@ def _cmd_construct(args) -> int:
                          f'in "pairs"')
     gspec = prob.get("graph")
     t0 = time.perf_counter()
+    method, route = _construct_route(args, gspec, pairs, forbidden)
     import cubelink.linker as _linker
     _linker.BRANCH_COUNTER = branches = {}
+    error = None
     try:
-        status, paths, refusal, method = _construct_route(
-            args, gspec, pairs, forbidden)
+        status, paths, refusal = route()
+    except InvalidLinkage as e:
+        status, paths, refusal, error = "invalid", None, None, str(e)
+    except ValueError as e:
+        # the input was checked above, so this is a router fault
+        raise ProofStepError("construct", str(e)) from e
     finally:
         _linker.BRANCH_COUNTER = None
     ms = int((time.perf_counter() - t0) * 1000)
     report = {"command": "construct", "method": method, "status": status,
               "pairs": [list(p) for p in pairs], "forbidden": forbidden,
-              "paths": paths, "refusal": refusal,
-              "branches": dict(sorted(branches.items())),
-              "elapsed_ms": ms}
+              "paths": paths, "refusal": refusal}
+    if error is not None:
+        report["error"] = error
+    report.update(branches=dict(sorted(branches.items())), elapsed_ms=ms)
     _emit(report, args.format)
     return 0 if status == "linked" else 1
 
 
+def _check_route_shape(d: int, pairs, star: bool) -> None:
+    """Refuse, as bad input, a dimension or pair count the router does not
+    take."""
+    if star and (d < 5 or d % 2 == 0):
+        raise UsageError("star routing needs odd dimension >= 5")
+    if d < 4:
+        raise UsageError("constructive routing needs dimension >= 4")
+    if len(pairs) != _default_k(d):
+        raise UsageError(f"dimension {d} takes {_default_k(d)} pairs, "
+                         f"got {len(pairs)}")
+
+
 def _construct_route(args, gspec, pairs, forbidden):
-    status = "linked"
-    paths = None
-    refusal = None
+    """Check a problem file's graph and terminals and pick its router:
+    (method, route), where route() gives (status, paths, refusal).  Bad
+    input raises UsageError or ValueError here, before any routing."""
     if isinstance(gspec, dict):
         allowed = {"kind", "dim", "chain_length", "path"}
         extra = set(gspec) - allowed
@@ -544,23 +563,33 @@ def _construct_route(args, gspec, pairs, forbidden):
             if forbidden:
                 raise UsageError("star routing takes no forbidden set")
             vs = star_instance(c, default_star_center(spec))
-            method = "link_in_star"
-            res = _link_in_star_ordered(vs.complex, vs.center, pairs)
-            if isinstance(res, ConfigDFRefusal):
-                status = "refused"
-                refusal = _refusal_json(vs.complex, res)
-            else:
-                res.check_against(LinkageProblem(vs.complex.graph(), pairs))
-                paths = [list(q) for q in res.paths]
-        else:
-            even = (c.dim + 1) % 2 == 0
-            if len(forbidden) != (1 if even else 0):
-                raise UsageError("even dimension needs exactly one "
-                                 "forbidden vertex" if even else
-                                 "odd dimension takes no forbidden set")
-            method = "strong_link_even" if even else "link_in_polytope"
-            paths = [list(q) for q in _route(c, pairs, forbidden).paths]
-    elif isinstance(gspec, list):
+            _check_route_shape(vs.complex.dim + 1, pairs, star=True)
+            if all(vs.center not in p for p in pairs):
+                raise UsageError(f"star routing needs the centre "
+                                 f"{vs.center} among the terminals")
+            prob = LinkageProblem(vs.complex.graph(), pairs)
+
+            def route():
+                res = _link_in_star_ordered(vs.complex, vs.center, pairs)
+                if isinstance(res, ConfigDFRefusal):
+                    return "refused", None, _refusal_json(vs.complex, res)
+                res.check_against(prob)
+                return "linked", [list(q) for q in res.paths], None
+            return "link_in_star", route
+        even = (c.dim + 1) % 2 == 0
+        if len(forbidden) != (1 if even else 0):
+            raise UsageError("even dimension needs exactly one "
+                             "forbidden vertex" if even else
+                             "odd dimension takes no forbidden set")
+        _check_route_shape(c.dim + 1, pairs, star=False)
+        # terminals and the avoided vertex must be vertices of the graph
+        LinkageProblem(c.graph(), pairs, frozenset(forbidden))
+
+        def route():
+            paths = _route(c, pairs, forbidden).paths
+            return "linked", [list(q) for q in paths], None
+        return ("strong_link_even" if even else "link_in_polytope"), route
+    if isinstance(gspec, list):
         n = len(gspec)
         adj = [0] * n
         for v, nbrs in enumerate(gspec):
@@ -573,18 +602,17 @@ def _construct_route(args, gspec, pairs, forbidden):
                                      f"{v} is not a vertex id 0..{n - 1}")
                 adj[v] |= 1 << u
         g = Graph(n, tuple(adj), (1 << n) - 1)
-        method = "solve_linkage"
         p = LinkageProblem(g, pairs, frozenset(forbidden))
-        got = solve_linkage(p, args.budget)
-        if got is None:
-            status = "unlinked"
-        else:
+
+        def route():
+            got = solve_linkage(p, args.budget)
+            if got is None:
+                return "unlinked", None, None
             got.check_against(p)
-            paths = [list(q) for q in got.paths]
-    else:
-        raise UsageError('problem file needs "graph": instance spec dict '
-                         'or adjacency list')
-    return status, paths, refusal, method
+            return "linked", [list(q) for q in got.paths], None
+        return "solve_linkage", route
+    raise UsageError('problem file needs "graph": instance spec dict '
+                     'or adjacency list')
 
 
 def _cmd_inspect(args) -> int:
