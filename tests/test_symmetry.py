@@ -3,6 +3,8 @@ import itertools
 import math
 import random
 
+import pytest
+
 from cubelink.cube import cube_graph, distance
 from cubelink.oracle import LinkageProblem, solve_linkage
 from cubelink.symmetry import (
@@ -164,6 +166,13 @@ def test_canonical_marked_instances_small():
     assert info["labelled_total"] == math.comb(8, 2)
     dists = sorted(distance(a, b) for (_, _, ((a, b),)) in insts)
     assert dists == [1, 2, 3]
+
+
+def test_canonical_marked_instances_refuse_more_than_15_terminals():
+    # a shape's base-size code overflows int64 from 16 positions on; the
+    # refusal comes before any walk (Q_4 with k = 8 is one 16-subset)
+    with pytest.raises(ValueError, match="at most 15 marked vertices"):
+        canonical_marked_instances(4, 8, strong=False)
 
 
 def test_canonical_marked_instances_expand_to_labelled_total():
