@@ -250,7 +250,8 @@ def canonical_marked_instances(d: int, k: int,
     labelled_total = 0
     for subset in subs:
         _, perms = _stabilizer(images, subset)
-        image_codes = (perms[:, partner] * digit[perms][:, None, :]).sum(axis=2)
+        # code of q' = sum_p g[q[p]] * size**g[p]: (|stab|, shapes)
+        image_codes = (perms[:, partner] * digit[perms][:, None, :]).sum(2)
         index = by_code[np.searchsorted(sorted_codes, image_codes)]
         canonical = np.flatnonzero(index.min(axis=0) == own)
         fixed = (index == own).sum(axis=0)
