@@ -10,14 +10,26 @@ sorted pairing) tuples.
 
 The subset stage walks the m-subsets by lexicographic rank in the
 combinatorial number system (Knuth, TAOCP 7.2.1.3) and keeps one byte per
-rank, never the subsets themselves.  Each step unranks the least rank not
-yet seen, which is the least member of a new orbit; gathers the subset's
-images under every group element from an (n, |G|) vertex table; ranks all
-|G| images at once from each member's count of smaller members; and marks
-those ranks seen.  The instance stage works on subset positions: each
-element of the subset's setwise stabilizer, read from the same image
-gather, permutes the positions, and an instance is canonical iff no such
-permutation sends it to a lexicographically smaller instance.
+rank, never the subsets themselves.  The group acts transitively, so every
+orbit meets vertex 0 and its least member holds 0: the walk only needs the
+C(n-1, m-1) subsets that hold 0, which are exactly the lexicographic
+prefix of ranks below C(n-1, m-1).  The images of a subset S that hold 0
+are its images under the elements sending some member of S to 0, m*|G|/n
+of them (600 of 3,840 at d = 5, m = 5).  Each step unranks the least
+rank not yet seen, which is the least member of a new orbit; gathers
+those images from a precomputed (n, n, |G|/n) table (per vertex v and
+member x, v's image under each element sending x to 0); ranks them all
+at once from each member's count of smaller members; and marks those
+ranks seen.  A table set that does not act transitively is refused with
+ValueError.
+
+The instance stage works on subset positions, a chunk of canonical
+subsets at a time.  Every element of S's setwise stabilizer sends a
+member of S to 0, so the same restricted images hold the whole
+stabilizer.  Each stabilizer element permutes the positions, and an
+instance is canonical iff no such permutation sends it to a
+lexicographically smaller instance.  The empty subset is one orbit whose
+stabilizer is the whole group.
 """
 
 from __future__ import annotations
@@ -109,9 +121,32 @@ def canonical_instance(d: int, inst: Instance) -> Instance:
 # -- the rank-indexed orbit walk --------------------------------------------------
 
 
-def _vertex_images(tables) -> np.ndarray:
-    """(n, |G|) uint8 table: row v holds v's image under every element."""
-    return np.ascontiguousarray(np.asarray(tables, dtype=np.uint8).T)
+def _zero_maps(tables) -> tuple[np.ndarray, np.ndarray]:
+    """The elements that send each vertex to 0, and everyone's images under
+    them.  Row x of the (n, K) first array lists, ascending, the K = |G|/n
+    elements that send x to 0; entry [v, x, j] of the contiguous (n, n, K)
+    uint8 second array is v's image under the j-th of them.  ValueError
+    unless every vertex has the same number of such elements, which a
+    group has iff it acts transitively on the vertices."""
+    tables = np.asarray(tables, dtype=np.uint8)
+    order, n = tables.shape
+    # the vertex each element sends to 0 (each table is a permutation)
+    sent = (np.flatnonzero(tables.ravel() == 0) % n).astype(np.uint8)
+    if (np.bincount(sent, minlength=n) * n != order).any():
+        raise ValueError("the orbit walk needs a group acting transitively "
+                         "on the vertices")
+    to_zero = np.argsort(sent, kind="stable").reshape(n, -1)
+    return to_zero, np.ascontiguousarray(tables[to_zero].transpose(2, 0, 1))
+
+
+def _restricted_images(images: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """(B, m, m*K) images of a batch of m-subsets: entry [b, a, i*K + j] is
+    the image of subsets[b, a] under the j-th element sending subsets[b, i]
+    to 0, so each column is one image of the subset that holds 0."""
+    b, m = subsets.shape
+    n = len(images)
+    rows = (subsets[:, :, None] * n + subsets[:, None, :]).ravel()
+    return images.reshape(n * n, -1).take(rows, axis=0).reshape(b, m, -1)
 
 
 def _rank_shares(n: int, m: int) -> np.ndarray:
@@ -140,28 +175,45 @@ def _unrank(rank: int, n: int, m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _image_ranks(images: np.ndarray, subset: Sequence[int],
-                 shares: np.ndarray) -> np.ndarray:
-    """Lexicographic rank of the subset's image under every element."""
-    img = images[list(subset)]                             # (m, |G|)
+def _image_ranks(img: np.ndarray, shares: np.ndarray) -> np.ndarray:
+    """Lexicographic rank of every image in an (m, columns) image array."""
     smaller = (img[:, None, :] > img[None, :, :]).sum(axis=1, dtype=np.uint8)
-    at = np.multiply(img, len(subset), dtype=np.intp)
+    at = np.multiply(img, len(img), dtype=np.intp)
     at += smaller
     return shares.take(at).sum(axis=0)
 
 
-def _stabilizer(images: np.ndarray,
-                subset: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The elements fixing the subset setwise, ascending (0 is the
-    identity), and the permutation of subset positions each induces: row
-    i of the (|stab|, m) array sends position p to the position of the
-    i-th element's image of subset[p]."""
-    m = len(subset)
-    position = np.full(len(images), m, dtype=np.uint8)
-    position[list(subset)] = np.arange(m)
-    moved = position.take(images[list(subset)])            # m: left the subset
-    stab = np.flatnonzero(moved.max(axis=0) < m)
-    return stab, moved[:, stab].T
+def _stabilizers(to_zero: np.ndarray, images: np.ndarray,
+                 subsets: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The setwise stabilizers of a batch of m-subsets that hold vertex 0,
+    as rows (owner, element, position permutation): element fixes
+    subsets[owner] and sends its position p to position perms[row, p].
+    Rows run over the batch in order.
+
+    An element fixing a subset that holds 0 sends some member to 0, so
+    the restricted images hold the whole stabilizer.  A column whose
+    members add up to the subset's sum has its members' bit mask compared
+    with the subset's; the empty subset is fixed by every element."""
+    b, m = subsets.shape
+    if m == 0:
+        order = to_zero.size
+        return (np.zeros(order, dtype=np.intp), np.arange(order),
+                np.zeros((order, 0), dtype=np.intp))
+    img = _restricted_images(images, subsets)
+    sums = img.sum(axis=1, dtype=np.uint16)
+    owner, col = divmod(np.flatnonzero(sums == subsets.sum(axis=1)[:, None]),
+                        img.shape[2])
+    cols = img[owner, :, col]                              # (rows, m)
+    one = np.uint64(1)
+    masks = np.bitwise_or.reduce(one << subsets.astype(np.uint64), axis=1)
+    fixed = np.bitwise_or.reduce(one << cols.astype(np.uint64),
+                                 axis=1) == masks[owner]
+    owner, col, cols = owner[fixed], col[fixed], cols[fixed]
+    k = to_zero.shape[1]
+    element = to_zero[subsets[owner, col // k], col % k]
+    # member p's image is at the position that counts the smaller images
+    perms = (cols[:, :, None] > cols[:, None, :]).sum(axis=2)
+    return owner, element, perms
 
 
 def canonical_subsets(d: int, size: int,
@@ -169,18 +221,22 @@ def canonical_subsets(d: int, size: int,
     """All size-subsets of V(Q_d) that are lexicographically least in their
     orbit, in ascending order, plus the group tables used.
 
-    One byte per lexicographic rank says whether the walk has seen that
-    subset.  The forward scan to the next unseen rank stops at its first
-    hit, and that rank is the least member of an orbit not met yet.
+    One byte per lexicographic rank of the subsets that hold vertex 0 says
+    whether the walk has seen that subset.  The forward scan to the next
+    unseen rank stops at its first hit, and that rank is the least member
+    of an orbit not met yet.  The tables must act transitively
+    (ValueError otherwise).
     """
     n = 1 << d
     if n > 64:
         raise ValueError("orbit walk supports d <= 6")
     if tables is None:
         tables = group_tables(d)
-    images = _vertex_images(tables)
+    _, images = _zero_maps(tables)
+    if size == 0:
+        return [()], tables
     shares = _rank_shares(n, size)
-    total = comb(n, size)
+    total = comb(n - 1, size - 1)
     unseen = np.ones(total, dtype=bool)
     subs = []
     rank = 0
@@ -189,7 +245,8 @@ def canonical_subsets(d: int, size: int,
         if not unseen[rank]:
             break
         subs.append(_unrank(rank, n, size))
-        unseen[_image_ranks(images, subs[-1], shares)] = False
+        img = _restricted_images(images, np.array([subs[-1]], dtype=np.intp))
+        unseen[_image_ranks(img[0], shares)] = False
         rank += 1
     return subs, tables
 
@@ -202,6 +259,10 @@ def _instance_shapes(size: int, strong: bool) -> list:
         return [((x,), pr) for x in positions
                 for pr in pairings(positions[:x] + positions[x + 1:])]
     return [((), pr) for pr in pairings(positions)]
+
+
+# canonical subsets whose stabilizers the instance stage takes at once
+_CHUNK = 1024
 
 
 def canonical_marked_instances(d: int, k: int,
@@ -223,7 +284,9 @@ def canonical_marked_instances(d: int, k: int,
     q'[g[p]] = g[q[p]].  Looking the image codes up among the shapes gives
     each element's image index of each shape; shapes are listed in
     lexicographic order, so a shape is canonical iff its index is the
-    least in its column, and its fixed count is the matches there.
+    least in its subset's column, and its fixed count is the matches
+    there.  Subsets go through in chunks, each subset's rows reduced at
+    once.
     """
     size = 2 * k + (1 if strong else 0)
     if size > 15:
@@ -231,7 +294,7 @@ def canonical_marked_instances(d: int, k: int,
                          f"vertices, got {size}")
     subs, tables = canonical_subsets(d, size)
     order = len(tables)
-    images = _vertex_images(tables)
+    to_zero, images = _zero_maps(tables)
     shapes = _instance_shapes(size, strong)
     partner = np.tile(np.arange(size), (len(shapes), 1))
     for row, (_, pr) in zip(partner, shapes):
@@ -242,27 +305,35 @@ def canonical_marked_instances(d: int, k: int,
     by_code = np.argsort(codes)
     sorted_codes = codes[by_code]
     own = np.arange(len(shapes))
+    shape_ids = own.tolist()
     pair_ids = {ab: i for i, ab in
                 enumerate(itertools.combinations(range(size), 2))}
     shape_pairs = [tuple(pair_ids[ab] for ab in pr) for _, pr in shapes]
     shape_left = [forb[0] if forb else size for forb, _ in shapes]
     out: list[Instance] = []
     labelled_total = 0
-    for subset in subs:
-        _, perms = _stabilizer(images, subset)
-        # code of q' = sum_p g[q[p]] * size**g[p]: (|stab|, shapes)
-        image_codes = (perms[:, partner] * digit[perms][:, None, :]).sum(2)
+    for start in range(0, len(subs), _CHUNK):
+        chunk = subs[start:start + _CHUNK]
+        block = np.array(chunk, dtype=np.intp).reshape(len(chunk), size)
+        owner, _, perms = _stabilizers(to_zero, images, block)
+        # code of q' = sum_p g[q[p]] * size**g[p]: (stabilizer rows, shapes)
+        image_codes = np.zeros((len(perms), len(shapes)), dtype=np.int64)
+        for p in range(size):
+            image_codes += perms[:, partner[:, p]] * digit[perms[:, p]][:, None]
         index = by_code[np.searchsorted(sorted_codes, image_codes)]
-        canonical = np.flatnonzero(index.min(axis=0) == own)
-        fixed = (index == own).sum(axis=0)
+        # every subset owns a row, the identity's
+        starts = np.searchsorted(owner, np.arange(len(chunk)))
+        least = np.minimum.reduceat(index, starts, axis=0)
+        fixed = np.add.reduceat(index == own, starts, axis=0, dtype=np.int64)
+        canonical = least == own
         labelled_total += int((order // fixed[canonical]).sum())
-        # this subset's instances share its pair and left-out tuples
-        pairs = [(subset[a], subset[b])
-                 for a, b in itertools.combinations(range(size), 2)]
-        left = [(v,) for v in subset] + [()]
-        for j in canonical.tolist():
-            out.append((subset, left[shape_left[j]],
-                        tuple(map(pairs.__getitem__, shape_pairs[j]))))
+        for subset, row in zip(chunk, canonical.tolist()):
+            # this subset's instances share its pair and left-out tuples
+            pairs = list(itertools.combinations(subset, 2))
+            left = [(v,) for v in subset] + [()]
+            for j in itertools.compress(shape_ids, row):
+                out.append((subset, left[shape_left[j]],
+                            tuple(map(pairs.__getitem__, shape_pairs[j]))))
     info = {
         "orbits": len(out),
         "group_order": order,

@@ -5,8 +5,8 @@ Each test is one criterion and prints a one-line summary of the evidence
 (run with -s to see them).  Three sweeps have a full exhaustive form that
 takes tens of minutes; by default they run a seeded sampled form, and
 setting ACCEPTANCE_FULL=1 switches them to the complete enumeration.  The
-Q_6 strongly 3-linked sweep (criterion 13) has no sampled form and runs
-only under ACCEPTANCE_FULL=1."""
+Q_6 sweeps up to symmetry (criteria 12 and 13) are complete and always
+run."""
 
 import itertools
 import json
@@ -419,8 +419,6 @@ def test_criterion_12_q6_3_linked_symmetry(capsys, monkeypatch):
            f"{walked[0]} subset orbits verified in {wall:.1f}s")
 
 
-@pytest.mark.skipif(not FULL, reason="Q_6 strongly 3-linked sweep of a "
-                    "minute or more: ACCEPTANCE_FULL=1")
 def test_criterion_13_q6_strongly_3_linked_symmetry(capsys, monkeypatch):
     """Q_6 is strongly 3-linked, the paper's claim at d = 6: every 7
     terminals, each choice of the vertex left out and every pairing of the
@@ -431,5 +429,6 @@ def test_criterion_13_q6_strongly_3_linked_symmetry(capsys, monkeypatch):
     assert v["checked"] == v["detail"]["orbits"] == 1703441
     assert v["detail"]["labelled_total"] == 65227700160 \
         == math.comb(64, 7) * 7 * 15
+    assert walked == [19735]
     report(f"criterion 13: {v['detail']['orbits']} orbits over "
            f"{walked[0]} subset orbits verified in {wall:.1f}s")

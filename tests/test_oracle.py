@@ -412,6 +412,19 @@ def test_symmetry_needs_the_cube_graph():
     assert verify_strongly_linked(q4, 2, symmetry=4).status == "verified"
 
 
+def test_symmetry_agrees_at_k_0():
+    # no pairs: the empty subset (or one left-out vertex) is one orbit
+    # whose labelled instances are the unreduced sweep's
+    for d in (1, 3, 4):
+        g = cube_graph(d)
+        for verify in (verify_k_linked, verify_strongly_linked):
+            reduced = verify(g, 0, symmetry=d)
+            plain = verify(g, 0)
+            assert reduced.status == plain.status == "verified"
+            assert reduced.instances_checked == reduced.detail["orbits"] == 1
+            assert reduced.detail["labelled_total"] == plain.instances_checked
+
+
 def test_verify_sampled_deterministic():
     g = cube_graph(4)
     a = verify_strongly_linked(g, 2, mode="sampled", samples=500, seed=11)

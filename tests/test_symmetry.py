@@ -3,13 +3,15 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
+import cubelink.symmetry
 from cubelink.cube import cube_graph, distance
 from cubelink.oracle import LinkageProblem, solve_linkage
 from cubelink.symmetry import (
-    _stabilizer,
-    _vertex_images,
+    _stabilizers,
+    _zero_maps,
     apply_instance,
     canonical_instance,
     canonical_marked_instances,
@@ -111,7 +113,8 @@ def _brute_least_members(d, size):
 
 
 def test_canonical_subsets_match_brute_orbits():
-    for d, size in ((3, 2), (3, 3), (3, 4), (4, 3), (4, 4), (4, 5), (4, 8)):
+    for d, size in ((3, 2), (3, 3), (3, 4), (4, 3), (4, 4), (4, 5), (4, 6),
+                    (4, 7), (4, 8)):
         subs, tables = canonical_subsets(d, size)
         assert len(tables) == group_order(d)
         assert subs == _brute_least_members(d, size)
@@ -123,6 +126,28 @@ def test_canonical_subsets_match_brute_orbits():
             assert least == sub
 
 
+def test_canonical_subsets_refuse_intransitive_tables():
+    # the walk only visits subsets holding vertex 0, which is sound only
+    # when every orbit reaches 0
+    coordinate_perms = group_tables(3)[::8]        # flip 0: fixes vertex 0
+    assert len(coordinate_perms) == 6
+    assert (coordinate_perms[:, 0] == 0).all()
+    for tables in (group_tables(3)[:1], coordinate_perms):
+        for size in (0, 1, 3):
+            with pytest.raises(ValueError, match="transitively"):
+                canonical_subsets(3, size, tables)
+
+
+def test_empty_subset_is_one_orbit():
+    assert canonical_subsets(3, 0)[0] == [()]
+    insts, info = canonical_marked_instances(3, 0, strong=False)
+    assert insts == [((), (), ())]
+    assert info == {"orbits": 1, "group_order": 48, "labelled_total": 1}
+    insts, info = canonical_marked_instances(3, 0, strong=True)
+    assert insts == [((0,), (0,), ())]
+    assert info == {"orbits": 1, "group_order": 48, "labelled_total": 8}
+
+
 def test_q5_orbit_structure():
     assert len(canonical_subsets(5, 5)[0]) == 131
     assert len(canonical_subsets(5, 6)[0]) == 472
@@ -132,20 +157,31 @@ def test_q5_orbit_structure():
 
 
 def test_stabilizer_matches_set_scan():
-    tables = group_tables(4)
-    assert tables[0].tolist() == list(range(16))    # identity first
-    images = _vertex_images(tables)
-    subs, _ = canonical_subsets(4, 5, tables)
-    assert len(subs) == 27
-    for subset in subs:
-        sset = set(subset)
-        scan = [g for g, t in enumerate(tables.tolist())
-                if {t[v] for v in subset} == sset]
-        stab, perms = _stabilizer(images, subset)
-        assert stab.tolist() == scan
-        # row i moves position p to the position of element i's image
-        assert perms.tolist() == [[subset.index(tables[g][v]) for v in subset]
-                                  for g in scan]
+    for d, count in ((4, 27), (5, 20)):
+        tables = group_tables(d)
+        assert tables[0].tolist() == list(range(1 << d))    # identity first
+        to_zero, images = _zero_maps(tables)
+        subs = canonical_subsets(d, 5, tables)[0][:count]
+        assert len(subs) == count              # all 27 on Q_4
+        owner, stab, perms = _stabilizers(to_zero, images, np.array(subs))
+        assert owner.tolist() == sorted(owner.tolist())
+        for i, subset in enumerate(subs):
+            sset = set(subset)
+            scan = [g for g, t in enumerate(tables.tolist())
+                    if {t[v] for v in subset} == sset]
+            mine = np.flatnonzero(owner == i)
+            mine = mine[np.argsort(stab[mine])]
+            assert stab[mine].tolist() == scan
+            # a row moves position p to the position of its element's image
+            assert perms[mine].tolist() == [
+                [subset.index(tables[g][v]) for v in subset] for g in scan]
+
+
+def test_instance_chunks_do_not_change_the_output(monkeypatch):
+    runs = [(4, 2, True), (5, 2, False)]
+    whole = [canonical_marked_instances(*run) for run in runs]
+    monkeypatch.setattr(cubelink.symmetry, "_CHUNK", 7)
+    assert [canonical_marked_instances(*run) for run in runs] == whole
 
 
 def test_canonical_subsets_orbit_sizes_cover_everything():
