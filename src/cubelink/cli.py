@@ -394,14 +394,14 @@ class _ConstructCheck:
 
 
 def _check_link_construct(args, spec: InstanceSpec, c: PolytopalComplex):
-    from .oracle import _linked_instances, _sampled_batches
+    from .oracle import _linked_batches, _sampled_batches
     d = c.dim + 1
     if d < 4:
         raise UsageError("constructive routing needs dimension >= 4")
     even = d % 2 == 0
     k = d // 2 if even else _default_k(d)
     ids = sorted(c.vertex_ids)
-    batches = (_batched(_linked_instances(ids, k, even))
+    batches = (_linked_batches(ids, k, even)
                if args.mode == "exhaustive"
                else _sampled_batches(ids, k, even, args.samples, args.seed))
     run = campaign(batches, _ConstructCheck(c), args.jobs,

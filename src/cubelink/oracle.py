@@ -28,13 +28,17 @@ undecided go through the three stages above.  It passes an instance iff
 the scalar greedy links it in one of its two pair orders, so no verdict,
 witness or count depends on it.  Larger graphs skip it.
 
-Sampled campaigns are array-native from the random words on.  Instance i
-of seed S is call number i of `random.Random(S).sample(ids, size)`, but
-the sampler reads the generator's words thousands at a time and decodes
-them in numpy into exactly the picks `sample` makes (see "sampled
-instances" below).  Its batches hold the pair ends and forbidden masks
-as arrays, which the prefilter reads directly; an instance tuple is built
-only for a row the prefilter leaves to the scalar stages, or a witness.
+Linkedness campaigns are array-native.  Their instances come in
+`_InstanceBatch`es, one uint64 row of forbidden vertices and pair ends
+per instance, which the prefilter reads directly; an instance tuple is
+built only for a row the prefilter leaves to the scalar stages, or a
+witness.  The exhaustive sweep turns chunks of vertex subsets into rows
+by one gather at a table of instance shapes (the orbit sweep of
+`symmetry` does the same for its canonical instances).  The sampled one
+is array-native from the random words on: instance i of seed S is call
+number i of `random.Random(S).sample(ids, size)`, but the sampler reads
+the generator's words thousands at a time and decodes them in numpy into
+exactly the picks `sample` makes (see "sampled instances" below).
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .cube import cube_graph
@@ -54,6 +57,7 @@ from .graphs import (Graph, bfs_layers, bits, connected_within, mask_of,
 
 DEFAULT_BUDGET = 10 ** 7
 CAMPAIGN_BATCH = 1000        # instances per batch, the unit of work of a job
+SWEEP_BATCH = 20000          # rows per batch of an exhaustive linkedness sweep
 PROGRESS_EVERY = 100000      # instances between progress callbacks
 
 
@@ -411,18 +415,17 @@ def _greedy_rows(adj_arr, tables, active, src, dst, used, order):
     return live
 
 
-def _greedy_passes(adj: tuple[int, ...], active: int, src, dst, blocked):
-    """Batch form of the greedy stage of `_solve_core`.  src and dst are
-    (B, k) uint64 arrays of pair ends and blocked the (B,) forbidden
-    masks; row r passes iff `_greedy_attempt` routes the pairs
+def _greedy_passes(adj: tuple[int, ...], active: int, batch):
+    """Batch form of the greedy stage of `_solve_core` on an
+    `_InstanceBatch`: row r passes iff `_greedy_attempt` routes the pairs
     zip(src[r], dst[r]) in the forward order or, for k > 1, the reversed
     one.  The reversed order reruns only the rows the forward one failed.
     Needs len(adj) <= 64."""
     import numpy as np
     adj_arr, tables = _byte_tables(adj)
-    one = np.uint64(1)
-    used = blocked | np.bitwise_or.reduce((one << src) | (one << dst),
-                                          axis=1)
+    # a row holds exactly its terminals and forbidden vertices
+    used = np.bitwise_or.reduce(np.uint64(1) << batch.rows, axis=1)
+    src, dst = batch.src, batch.dst
     active = np.uint64(active)
     k = src.shape[1]
     ok = np.zeros(len(used), dtype=bool)
@@ -504,18 +507,109 @@ Instance = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]
 # tuple order of exactly this triple
 
 
-def _linked_instances(vertex_ids: Sequence[int], k: int,
-                      strong: bool) -> Iterator[Instance]:
+class _InstanceBatch:
+    """Instances as one array, a row each, for the campaign engine.  Row r
+    of the uint64 `rows` holds instance r's forbidden vertices (the first
+    `lead` columns), then its pair sources, then its pair targets; each
+    pair has source < target and the pairs are sorted.  `forb`, `src` and
+    `dst` are those column blocks.  `batch[i]` is the instance tuple of
+    row i, built only when asked for: for a witness, or a row the
+    prefilter leaves to the scalar stages."""
+
+    def __init__(self, rows, lead: int):
+        self.rows, self.lead = rows, lead
+        self.k = (rows.shape[1] - lead) // 2
+
+    @property
+    def forb(self):
+        return self.rows[:, :self.lead]
+
+    @property
+    def src(self):
+        return self.rows[:, self.lead:self.lead + self.k]
+
+    @property
+    def dst(self):
+        return self.rows[:, self.lead + self.k:]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i: int) -> Instance:
+        row = self.rows[i].tolist()
+        lead, k = self.lead, self.k
+        return (tuple(sorted(row)), tuple(row[:lead]),
+                tuple(zip(row[lead:lead + k], row[lead + k:])))
+
+    def __iter__(self) -> Iterator[Instance]:
+        return map(self.__getitem__, range(len(self)))
+
+
+@functools.lru_cache(maxsize=None)
+def _shape_tables(size: int, strong: bool):
+    """The instances on subset positions 0..size-1 as a read-only (shapes,
+    size) intp array laid out as `_InstanceBatch` rows: for strong, the
+    position left out, then the pair sources, then the pair targets.
+    Shapes run in lexicographic order of (left out, pairing), which is the
+    order of the instance tuples on an ascending subset."""
+    import numpy as np
+    positions = tuple(range(size))
+    if strong:
+        shapes = [((x,), pr) for x in positions
+                  for pr in pairings(positions[:x] + positions[x + 1:])]
+    else:
+        shapes = [((), pr) for pr in pairings(positions)]
+    out = np.array([left + tuple(a for a, _ in pr) + tuple(b for _, b in pr)
+                    for left, pr in shapes], dtype=np.intp)
+    out = out.reshape(len(shapes), size)
+    out.flags.writeable = False
+    return out
+
+
+def _rebatch(parts: Iterable, lead: int,
+             per_batch: int) -> Iterator[_InstanceBatch]:
+    """A stream of `_InstanceBatch` row arrays cut into batches of
+    per_batch rows, the last perhaps fewer.  Rows left over at the end of
+    one array open the next batch, so batch boundaries do not depend on
+    how the stream was chunked."""
+    import numpy as np
+    held = None
+    for rows in parts:
+        if held is not None:
+            fill = per_batch - len(held)
+            held, rows = np.concatenate((held, rows[:fill])), rows[fill:]
+            if len(held) < per_batch:
+                continue
+            yield _InstanceBatch(held, lead)
+        cut = len(rows) - len(rows) % per_batch
+        for at in range(0, cut, per_batch):
+            yield _InstanceBatch(rows[at:at + per_batch], lead)
+        held = rows[cut:] if cut < len(rows) else None
+    if held is not None:
+        yield _InstanceBatch(held, lead)
+
+
+def _linked_batches(vertex_ids: Sequence[int], k: int, strong: bool,
+                    per_batch: int = CAMPAIGN_BATCH
+                    ) -> Iterator[_InstanceBatch]:
+    """Every instance on 2k + strong of the ascending vertex_ids, as
+    `_InstanceBatch`es of per_batch rows (the last may hold fewer):
+    subsets in `itertools.combinations` order and each subset's instances
+    in `_shape_tables` order, so the stream is in instance tuple order.
+    A chunk of subsets becomes rows in one gather."""
+    import numpy as np
     size = 2 * k + (1 if strong else 0)
-    for subset in itertools.combinations(vertex_ids, size):
-        if strong:
-            for x in subset:
-                rest = tuple(v for v in subset if v != x)
-                for pr in pairings(rest):
-                    yield subset, (x,), pr
-        else:
-            for pr in pairings(subset):
-                yield subset, (), pr
+    shapes = _shape_tables(size, strong)
+    per_chunk = max(1, per_batch // len(shapes))
+    combos = itertools.combinations(vertex_ids, size)
+
+    def parts():
+        while chunk := list(itertools.islice(combos, per_chunk)):
+            subsets = np.array(chunk, dtype=np.uint64).reshape(len(chunk),
+                                                                size)
+            yield subsets[:, shapes].reshape(len(chunk) * len(shapes), size)
+
+    return _rebatch(parts(), 1 if strong else 0, per_batch)
 
 
 # -- sampled instances ---------------------------------------------------------
@@ -717,51 +811,36 @@ def _sample_rows(n: int, size: int, count: int, seed: int,
         yield rows
 
 
-class _SampledBatch:
-    """Sampled instances as arrays, one row each, for the campaign engine:
-    `chosen` holds the picked vertices in draw order, `src` and `dst` the
-    pairs as (rows, k) uint64 arrays with src < dst in each pair and the
-    pairs sorted, and `blocked` the forbidden-vertex masks (None when a
-    vertex id is 64 or more).  `batch[i]` is the instance tuple of row i,
-    built only when asked for."""
-
-    def __init__(self, chosen, lead: int):
-        import numpy as np
-        self.chosen, self.lead = chosen, lead
-        # a pair as one key, src in the high half, so that sorting a row
-        # of keys sorts its pairs (vertex ids are far below 2^32)
-        a = chosen[:, lead::2].astype(np.uint64)
-        b = chosen[:, lead + 1::2].astype(np.uint64)
-        half = np.uint64(32)
-        key = np.sort((np.minimum(a, b) << half) | np.maximum(a, b), axis=1)
-        self.src = key >> half
-        self.dst = key & np.uint64(0xFFFFFFFF)
-        self.blocked = None
-        if not chosen.size or chosen.max() < 64:
-            self.blocked = np.bitwise_or.reduce(
-                np.uint64(1) << chosen[:, :lead].astype(np.uint64), axis=1)
-
-    def __len__(self) -> int:
-        return len(self.chosen)
-
-    def __getitem__(self, i: int) -> Instance:
-        row = self.chosen[i].tolist()
-        return (tuple(sorted(row)), tuple(row[:self.lead]),
-                tuple(zip(self.src[i].tolist(), self.dst[i].tolist())))
+def _sampled_batch(chosen, lead: int) -> _InstanceBatch:
+    """Sampled instances as a batch: `chosen` holds the picked vertices in
+    draw order, the `lead` forbidden ones first, then the pair ends two by
+    two."""
+    import numpy as np
+    # a pair as one key, src in the high half, so that sorting a row of
+    # keys sorts its pairs (vertex ids are far below 2^32)
+    a = chosen[:, lead::2].astype(np.uint64)
+    b = chosen[:, lead + 1::2].astype(np.uint64)
+    half = np.uint64(32)
+    key = np.sort((np.minimum(a, b) << half) | np.maximum(a, b), axis=1)
+    batch = _InstanceBatch(np.empty(chosen.shape, dtype=np.uint64), lead)
+    batch.forb[:] = chosen[:, :lead]
+    np.right_shift(key, half, out=batch.src)
+    np.bitwise_and(key, np.uint64(0xFFFFFFFF), out=batch.dst)
+    return batch
 
 
 def _sampled_batches(vertex_ids: Sequence[int], k: int, strong: bool,
                      n: int, seed: int, per_batch: int = CAMPAIGN_BATCH
-                     ) -> Iterator[_SampledBatch]:
+                     ) -> Iterator[_InstanceBatch]:
     """n seeded instances: row r is `random.Random(seed).sample(vertex_ids,
     2k + strong)` call number r, with the forbidden vertex first when
-    strong, as `_SampledBatch`es of per_batch rows (the last may hold
+    strong, as `_InstanceBatch`es of per_batch rows (the last may hold
     fewer)."""
     import numpy as np
     ids = np.array(vertex_ids, dtype=np.int64)
     size = 2 * k + (1 if strong else 0)
     for rows in _sample_rows(len(ids), size, n, seed, per_batch):
-        yield _SampledBatch(ids[rows], 1 if strong else 0)
+        yield _sampled_batch(ids[rows], 1 if strong else 0)
 
 
 def _sampled_instances(vertex_ids: Sequence[int], k: int, strong: bool,
@@ -820,11 +899,9 @@ def _verify(g: Graph, k: int, mode: str, symmetry: Optional[int],
         seed = None
         if symmetry is not None:
             from .symmetry import canonical_marked_instances
-            insts, orbit_info = canonical_marked_instances(symmetry, k, strong)
-            detail = dict(orbit_info)
+            batches, detail = canonical_marked_instances(symmetry, k, strong)
         else:
-            insts = _linked_instances(ids, k, strong)
-        batches = _batched(insts)
+            batches = _linked_batches(ids, k, strong, SWEEP_BATCH)
     elif mode == "sampled":
         if symmetry is not None:
             raise ValueError("symmetry applies to exhaustive mode only")
@@ -833,6 +910,11 @@ def _verify(g: Graph, k: int, mode: str, symmetry: Optional[int],
         raise ValueError(f"unknown mode {mode!r}")
     run = campaign(batches, _LinkedCheck(g.adj, g.active, budget), jobs,
                    progress)
+    if run.witness is not None and symmetry is not None:
+        # the orbit counts fill in as the sweep streams; they cover all of
+        # it, past the witness too
+        for _ in batches:
+            pass
     ms = int((time.perf_counter() - t0) * 1000)
     if run.witness is not None:
         subset, forb, pr = run.witness
@@ -857,31 +939,13 @@ class _LinkedCheck:
             return inst
         return None
 
-    def passes(self, batch: Sequence[Instance]):
+    def passes(self, batch: _InstanceBatch):
         """The batch prefilter: a bool array marking the instances greedy
-        links, each of which the call above passes too.  None when the
-        graph has more than 64 vertices or the instances do not all have
-        the same number of pairs.  A `_SampledBatch` hands over its
-        arrays; a list of instance tuples is read into arrays here."""
+        links, each of which the call above passes too; None when the
+        graph has more than 64 vertices."""
         if len(self.adj) > 64:
             return None
-        if isinstance(batch, _SampledBatch):
-            return _greedy_passes(self.adj, self.active, batch.src,
-                                  batch.dst, batch.blocked)
-        import numpy as np
-        prs = list(map(itemgetter(2), batch))
-        k = len(prs[0])
-        if any(len(pr) != k for pr in prs):
-            return None
-        flat = itertools.chain.from_iterable
-        ends = np.fromiter(flat(flat(prs)), dtype=np.uint64,
-                           count=2 * k * len(batch))
-        ends = ends.reshape(len(batch), k, 2)
-        forbs = [inst[1] for inst in batch]
-        blocked = (np.array([mask_of(f) for f in forbs], dtype=np.uint64)
-                   if any(forbs) else np.zeros(len(batch), dtype=np.uint64))
-        return _greedy_passes(self.adj, self.active, ends[:, :, 0],
-                              ends[:, :, 1], blocked)
+        return _greedy_passes(self.adj, self.active, batch)
 
 
 # -- the campaign engine --------------------------------------------------------
@@ -925,7 +989,8 @@ def _run_batch(check: Callable[[Any, dict], Any],
 
 
 def _batched(instances: Iterable) -> Iterator[list]:
-    """A stream of instances as lists of CAMPAIGN_BATCH, read lazily."""
+    """A stream of instances as lists of CAMPAIGN_BATCH, read lazily; for
+    campaigns whose check has no prefilter, such as the star router's."""
     it = iter(instances)
     return iter(lambda: list(itertools.islice(it, CAMPAIGN_BATCH)), [])
 
@@ -933,12 +998,12 @@ def _batched(instances: Iterable) -> Iterator[list]:
 def campaign(batches: Iterable[Sequence], check: Callable[[Any, dict], Any],
              jobs: int = 1, progress=None) -> CampaignRun:
     """Run `check(inst, tally)` over a stream of instances, given as a
-    stream of batches (sequences of instances, CAMPAIGN_BATCH each but
-    perhaps the last; see `_batched`).  The check returns None on a pass
-    and a witness otherwise, and may count outcomes in `tally`.  It may
-    also offer `passes(batch)`, a bool array marking instances it would
-    pass without tallying anything (or None); those are counted as
-    checked and not called.
+    stream of batches (`_InstanceBatch`es, or instance lists from
+    `_batched`).  The check returns None on a pass and a witness
+    otherwise, and may count outcomes in `tally`.  It may also offer
+    `passes(batch)`, a bool array marking instances it would pass without
+    tallying anything (or None); those are counted as checked and not
+    called.
 
     Batches are read lazily.  With jobs > 1 they go to a process pool and
     come back in stream order, so the result is the same for every job
@@ -967,7 +1032,8 @@ def _collect(results: Iterable[CampaignRun], progress) -> CampaignRun:
         if got.witness is not None:
             run.witness = got.witness
             break
-        if progress is not None and run.checked % PROGRESS_EVERY == 0:
+        if (progress is not None and run.checked // PROGRESS_EVERY
+                > (run.checked - got.checked) // PROGRESS_EVERY):
             progress(run.checked)
     return run
 

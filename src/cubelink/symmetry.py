@@ -24,24 +24,29 @@ ranks seen.  A table set that does not act transitively is refused with
 ValueError.
 
 The instance stage works on subset positions, a chunk of canonical
-subsets at a time.  Every element of S's setwise stabilizer sends a
-member of S to 0, so the same restricted images hold the whole
+subsets at a time, and streams.  Every element of S's setwise stabilizer
+sends a member of S to 0, so the same restricted images hold the whole
 stabilizer.  Each stabilizer element permutes the positions, and an
 instance is canonical iff no such permutation sends it to a
 lexicographically smaller instance.  The empty subset is one orbit whose
-stabilizer is the whole group.
+stabilizer is the whole group.  A chunk's canonical instances become
+the rows of `oracle._InstanceBatch`es in one gather of its subsets at
+the shapes' positions, with no instance tuple built; the campaign reads
+the batches as they come, and the orbit counts are summed chunk by
+chunk.  The group tables and their maps to 0 are built once per
+process.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import random
 from math import comb, factorial
-from typing import Optional, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .oracle import Instance, pairings
+from .oracle import SWEEP_BATCH, _InstanceBatch, _rebatch, _shape_tables
 
 
 def group_order(d: int) -> int:
@@ -65,59 +70,6 @@ def group_tables(d: int) -> np.ndarray:
         .astype(np.uint8)
 
 
-def random_table(d: int, rng: random.Random) -> tuple[int, ...]:
-    n = 1 << d
-    perm = list(range(d))
-    rng.shuffle(perm)
-    flip = rng.randrange(n)
-    out = []
-    for v in range(n):
-        w = 0
-        for i in range(d):
-            if (v >> i) & 1:
-                w |= 1 << perm[i]
-        out.append(w ^ flip)
-    return tuple(out)
-
-
-def apply_instance(table: Sequence[int], inst: Instance) -> Instance:
-    """Image of a (subset, forbidden, pairing) instance, re-normalized."""
-    subset, forb, pr = inst
-    nsub = tuple(sorted(table[v] for v in subset))
-    nforb = tuple(sorted(table[v] for v in forb))
-    npr = tuple(sorted(tuple(sorted((table[a], table[b]))) for a, b in pr))
-    return nsub, nforb, npr
-
-
-def canonical_instance(d: int, inst: Instance) -> Instance:
-    """Lexicographically least image of the instance under the group.
-
-    The least image's subset must contain vertex 0, so only flips sending
-    some subset vertex to 0 can produce it; that cuts the flip factor from
-    2^d to the subset size and keeps d=6 workable without full tables.
-    """
-    subset = inst[0]
-    if not subset:
-        return inst
-    best: Optional[Instance] = None
-    n = 1 << d
-    for perm in itertools.permutations(range(d)):
-        moved = []
-        for v in range(n):
-            w = 0
-            for i in range(d):
-                if (v >> i) & 1:
-                    w |= 1 << perm[i]
-            moved.append(w)
-        for v0 in subset:
-            flip = moved[v0]
-            table = [w ^ flip for w in moved]
-            img = apply_instance(table, inst)
-            if best is None or img < best:
-                best = img
-    return best
-
-
 # -- the rank-indexed orbit walk --------------------------------------------------
 
 
@@ -137,6 +89,17 @@ def _zero_maps(tables) -> tuple[np.ndarray, np.ndarray]:
                          "on the vertices")
     to_zero = np.argsort(sent, kind="stable").reshape(n, -1)
     return to_zero, np.ascontiguousarray(tables[to_zero].transpose(2, 0, 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _group(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`group_tables(d)` and its `_zero_maps`, built once per process and
+    read-only."""
+    tables = group_tables(d)
+    out = (tables, *_zero_maps(tables))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _restricted_images(images: np.ndarray, subsets: np.ndarray) -> np.ndarray:
@@ -231,8 +194,9 @@ def canonical_subsets(d: int, size: int,
     if n > 64:
         raise ValueError("orbit walk supports d <= 6")
     if tables is None:
-        tables = group_tables(d)
-    _, images = _zero_maps(tables)
+        tables, _, images = _group(d)
+    else:
+        _, images = _zero_maps(tables)
     if size == 0:
         return [()], tables
     shares = _rank_shares(n, size)
@@ -251,70 +215,84 @@ def canonical_subsets(d: int, size: int,
     return subs, tables
 
 
-def _instance_shapes(size: int, strong: bool) -> list:
-    """The instances on subset positions 0..size-1, in lexicographic order,
-    as (forbidden positions, pairing) pairs."""
-    positions = tuple(range(size))
-    if strong:
-        return [((x,), pr) for x in positions
-                for pr in pairings(positions[:x] + positions[x + 1:])]
-    return [((), pr) for pr in pairings(positions)]
+@functools.lru_cache(maxsize=None)
+def _shape_codes(size: int, strong: bool) -> tuple[np.ndarray, ...]:
+    """The instance shapes of `oracle._shape_tables` coded by their
+    partner arrays (an unpaired position is its own partner) read in base
+    `size`: (partner arrays, digit values, shape ids by code, sorted
+    codes)."""
+    shapes = _InstanceBatch(_shape_tables(size, strong), 1 if strong else 0)
+    src, dst = shapes.src, shapes.dst
+    partner = np.tile(np.arange(size), (len(shapes), 1))
+    at = np.arange(len(shapes))[:, None]
+    partner[at, src] = dst
+    partner[at, dst] = src
+    digit = size ** np.arange(size, dtype=np.int64)
+    codes = partner @ digit
+    by_code = np.argsort(codes)
+    out = (partner, digit, by_code, codes[by_code])
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 # canonical subsets whose stabilizers the instance stage takes at once
 _CHUNK = 1024
 
 
-def canonical_marked_instances(d: int, k: int,
-                               strong: bool) -> tuple[list[Instance], dict]:
+def canonical_marked_instances(d: int, k: int, strong: bool
+                               ) -> tuple[Iterator[_InstanceBatch], dict]:
     """Canonical representatives of all terminal configurations: size-2k
     subsets with a pairing (plus, for strong, the choice of unpaired
     vertex), one per orbit of the signed permutation group.
 
     An instance is canonical iff its subset is the canonical subset of its
     orbit and the (forbidden, pairing) part is minimal under the subset's
-    setwise stabilizer.  Returns (instances, info); info carries the orbit
-    count, group order, and the labelled-instance total the orbits expand
-    back to (orbit-stabilizer), which callers can check against the direct
-    binomial count.
-
-    Instances are decided on subset positions.  Each shape is coded by its
-    partner array (an unpaired position is its own partner) read in base
-    `size`; a stabilizer permutation g sends partner array q to q' with
-    q'[g[p]] = g[q[p]].  Looking the image codes up among the shapes gives
-    each element's image index of each shape; shapes are listed in
-    lexicographic order, so a shape is canonical iff its index is the
-    least in its subset's column, and its fixed count is the matches
-    there.  Subsets go through in chunks, each subset's rows reduced at
-    once.
+    setwise stabilizer.  Returns (batches, info).  batches streams the
+    instances as `oracle._InstanceBatch`es of SWEEP_BATCH rows, in
+    lexicographic order; it is read lazily, and the subset walk runs when
+    it is first read (under --jobs, while the workers start).  info
+    carries the orbit count, group order, and the labelled-instance total
+    the orbits expand back to (orbit-stabilizer), which callers can check
+    against the direct binomial count; its counts are summed as the
+    stream runs and are complete once it is exhausted.
     """
     size = 2 * k + (1 if strong else 0)
     if size > 15:
         raise ValueError(f"canonical instances take at most 15 marked "
                          f"vertices, got {size}")
-    subs, tables = canonical_subsets(d, size)
-    order = len(tables)
-    to_zero, images = _zero_maps(tables)
-    shapes = _instance_shapes(size, strong)
-    partner = np.tile(np.arange(size), (len(shapes), 1))
-    for row, (_, pr) in zip(partner, shapes):
-        for a, b in pr:
-            row[a], row[b] = b, a
-    digit = size ** np.arange(size, dtype=np.int64)
-    codes = partner @ digit
-    by_code = np.argsort(codes)
-    sorted_codes = codes[by_code]
+    if d > 6:
+        raise ValueError("orbit walk supports d <= 6")
+    info = {"orbits": 0, "group_order": group_order(d), "labelled_total": 0}
+    return (_rebatch(_orbit_rows(d, size, strong, info), 1 if strong else 0,
+                     SWEEP_BATCH), info)
+
+
+def _orbit_rows(d: int, size: int, strong: bool,
+                info: dict) -> Iterator[np.ndarray]:
+    """The canonical instances on the canonical size-subsets as
+    `_InstanceBatch` rows, one array per _CHUNK of subsets; a chunk's
+    counts go into info before its rows come out.
+
+    Instances are decided on subset positions.  Each shape is coded by
+    `_shape_codes`; a stabilizer permutation g sends partner array q to
+    q' with q'[g[p]] = g[q[p]].  Looking the image codes up among the
+    shapes gives each element's image index of each shape; shapes are
+    listed in lexicographic order, so a shape is canonical iff its index
+    is the least in its subset's column, and its fixed count is the
+    matches there.  The canonical (subset, shape) cells, row by row, are
+    the instances in lexicographic order, and their rows come out of one
+    gather of the chunk's subsets at the shapes' positions.
+    """
+    subs, _ = canonical_subsets(d, size)
+    _, to_zero, images = _group(d)
+    shapes = _shape_tables(size, strong)
+    partner, digit, by_code, sorted_codes = _shape_codes(size, strong)
     own = np.arange(len(shapes))
-    shape_ids = own.tolist()
-    pair_ids = {ab: i for i, ab in
-                enumerate(itertools.combinations(range(size), 2))}
-    shape_pairs = [tuple(pair_ids[ab] for ab in pr) for _, pr in shapes]
-    shape_left = [forb[0] if forb else size for forb, _ in shapes]
-    out: list[Instance] = []
-    labelled_total = 0
+    order = info["group_order"]
+    subs = np.array(subs, dtype=np.intp).reshape(len(subs), size)
     for start in range(0, len(subs), _CHUNK):
-        chunk = subs[start:start + _CHUNK]
-        block = np.array(chunk, dtype=np.intp).reshape(len(chunk), size)
+        block = subs[start:start + _CHUNK]
         owner, _, perms = _stabilizers(to_zero, images, block)
         # code of q' = sum_p g[q[p]] * size**g[p]: (stabilizer rows, shapes)
         image_codes = np.zeros((len(perms), len(shapes)), dtype=np.int64)
@@ -322,21 +300,12 @@ def canonical_marked_instances(d: int, k: int,
             image_codes += perms[:, partner[:, p]] * digit[perms[:, p]][:, None]
         index = by_code[np.searchsorted(sorted_codes, image_codes)]
         # every subset owns a row, the identity's
-        starts = np.searchsorted(owner, np.arange(len(chunk)))
+        starts = np.searchsorted(owner, np.arange(len(block)))
         least = np.minimum.reduceat(index, starts, axis=0)
         fixed = np.add.reduceat(index == own, starts, axis=0, dtype=np.int64)
         canonical = least == own
-        labelled_total += int((order // fixed[canonical]).sum())
-        for subset, row in zip(chunk, canonical.tolist()):
-            # this subset's instances share its pair and left-out tuples
-            pairs = list(itertools.combinations(subset, 2))
-            left = [(v,) for v in subset] + [()]
-            for j in itertools.compress(shape_ids, row):
-                out.append((subset, left[shape_left[j]],
-                            tuple(map(pairs.__getitem__, shape_pairs[j]))))
-    info = {
-        "orbits": len(out),
-        "group_order": order,
-        "labelled_total": labelled_total,
-    }
-    return out, info
+        info["labelled_total"] += int((order // fixed[canonical]).sum())
+        at, shape = np.nonzero(canonical)
+        info["orbits"] += len(at)
+        yield block.astype(np.uint64).ravel().take(
+            at[:, None] * size + shapes[shape])

@@ -141,3 +141,35 @@ def random_problem(rng: random.Random, g: Graph, k: int, forbid=0):
     pairs = tuple((chosen[2 * i], chosen[2 * i + 1]) for i in range(k))
     forbidden = frozenset(chosen[2 * k:])
     return pairs, forbidden
+
+
+def linked_instances(vertex_ids, k: int, strong: bool):
+    """Every (subset, forbidden part, pairing) instance on 2k + strong of
+    vertex_ids, by itertools and the pairings recursion: subsets in
+    combinations order, the vertex left out ascending when strong, then
+    the pairings of the rest.  The reference for the library's array
+    stream of the same instances."""
+    from cubelink.oracle import pairings
+    size = 2 * k + (1 if strong else 0)
+    for subset in itertools.combinations(vertex_ids, size):
+        if strong:
+            for x in subset:
+                rest = tuple(v for v in subset if v != x)
+                for pr in pairings(rest):
+                    yield subset, (x,), pr
+        else:
+            for pr in pairings(subset):
+                yield subset, (), pr
+
+
+def instance_batch(insts):
+    """Instance tuples, all with the same numbers of pairs and forbidden
+    vertices, as one of the library's array batches."""
+    import numpy as np
+    from cubelink.oracle import _InstanceBatch
+    lead = len(insts[0][1])
+    width = lead + 2 * len(insts[0][2])
+    rows = [list(forb) + [a for a, _ in pr] + [b for _, b in pr]
+            for _, forb, pr in insts]
+    return _InstanceBatch(np.array(rows, dtype=np.uint64).reshape(
+        len(insts), width), lead)

@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 import cubelink.symmetry
-from conftest import brute_min_vertex_cut, naive_linked, random_graph, \
-    random_problem
+from conftest import brute_min_vertex_cut, linked_instances, naive_linked, \
+    random_graph, random_problem
 from cubelink.cli import main
 from cubelink.complexes import (
     antistar,
@@ -41,7 +41,6 @@ from cubelink.linker import (
 )
 from cubelink.oracle import (
     LinkageProblem,
-    _linked_instances,
     contains_k23,
     enumerate_separators,
     menger_paths,
@@ -66,7 +65,7 @@ def test_criterion_01_q3_fails_only_on_squares():
     v = verify_k_linked(g, 2)
     assert v.status == "counterexample"
     failures = checked = 0
-    for subset, _, pr in _linked_instances(range(8), 2, False):
+    for subset, _, pr in linked_instances(range(8), 2, False):
         checked += 1
         linked = solve_linkage(LinkageProblem(g, pr)) is not None
         span = (subset[0] ^ subset[1]) | (subset[0] ^ subset[2]) \
@@ -280,7 +279,7 @@ def test_criterion_09_even_construction_avoids_marked_vertex():
     q4 = cube_boundary(4)
     t0 = time.perf_counter()
     done = 0
-    for subset, forb, pr in _linked_instances(range(16), 2, True):
+    for subset, forb, pr in linked_instances(range(16), 2, True):
         lk = strong_link_even(q4, subset, pr, forb[0])
         assert all(forb[0] not in path for path in lk.paths)
         done += 1
@@ -290,7 +289,7 @@ def test_criterion_09_even_construction_avoids_marked_vertex():
     ids = sorted(g4.vertex_ids)
     if FULL:
         gen = ((s, pr, f[0])
-               for s, f, pr in _linked_instances(ids, 2, True))
+               for s, f, pr in linked_instances(ids, 2, True))
         total = _even_campaign(g4, gen)
         assert total == 637560
     else:

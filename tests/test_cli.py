@@ -643,6 +643,26 @@ def test_jobs_flag_parallel_verify(capsys):
             assert reports[0]["verdict"]["detail"]["branches"]
 
 
+def test_symmetry_reports_same_at_every_job_count(capsys):
+    # the orbit stream goes to the pool as array batches; reports match
+    # byte for byte apart from elapsed_ms, the counterexample's orbit
+    # counts included
+    cases = ((("--check", "strongly_linked", "--k", "2"), 0, 231, 231, 65520),
+             (("--check", "k_linked", "--k", "3"), 1, 15, 437, 120120))
+    for argv, want_code, checked, orbits, labelled in cases:
+        outs = []
+        for jobs in ("1", "2"):
+            code, out, _ = run(capsys, "verify", "--kind", "cube", "--dim",
+                               "4", *argv, "--symmetry", "--jobs", jobs)
+            assert code == want_code
+            v = json.loads(out)["verdict"]
+            assert (v["checked"], v["detail"]["orbits"],
+                    v["detail"]["labelled_total"]) \
+                == (checked, orbits, labelled)
+            outs.append(re.sub(r"(elapsed_ms\W+)\d+", r"\1", out))
+        assert outs[0] == outs[1]
+
+
 def test_sampled_witness_same_at_every_job_count(capsys):
     # checked and witness as the one-sample-per-call generator gave them
     for seed, checked, pairs in (("0", 6, [[4, 7], [5, 6]]),

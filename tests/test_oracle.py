@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import json
+import math
+import operator
 import random
 import time
 
@@ -14,6 +16,8 @@ from cubelink import linker, oracle
 
 from conftest import (
     brute_min_vertex_cut,
+    instance_batch,
+    linked_instances,
     naive_linked,
     queue_bfs,
     random_graph,
@@ -29,7 +33,6 @@ from cubelink.oracle import (
     SearchBudgetExceeded,
     Verdict,
     _batched,
-    _linked_instances,
     _sampled_instances,
     campaign,
     contains_k23,
@@ -215,9 +218,9 @@ def test_pairings_and_counts():
 
 def test_instance_enumeration_counts():
     q3 = sorted(bits(cube_graph(3).active))
-    assert sum(1 for _ in _linked_instances(q3, 2, False)) == 210
+    assert sum(map(len, oracle._linked_batches(q3, 2, False))) == 210
     q4 = sorted(bits(cube_graph(4).active))
-    assert sum(1 for _ in _linked_instances(q4, 2, True)) == 65520
+    assert sum(map(len, oracle._linked_batches(q4, 2, True))) == 65520
     got = list(_sampled_instances(q4, 2, True, 50, seed=3))
     assert got == list(_sampled_instances(q4, 2, True, 50, seed=3))
     assert len(got) == 50
@@ -226,6 +229,48 @@ def test_instance_enumeration_counts():
         assert forb[0] in subset
         flat = {v for p in pr for v in p}
         assert flat == set(subset) - {forb[0]}
+
+
+def test_labelled_stream_matches_reference():
+    # batch[i] over the array stream is the itertools reference, in order
+    # and across batch boundaries, also with no pair at all (k = 0)
+    for g in (cube_graph(3), cube_graph(4), glued_cubes(4, 2).graph()):
+        ids = sorted(g.vertices())
+        for k, strong in itertools.product((0, 1, 2), (False, True)):
+            size = 2 * k + strong
+            small = math.comb(len(ids), size) < 5000
+            for per_batch in ((7, oracle.SWEEP_BATCH) if small else (9973,)):
+                batches = list(oracle._linked_batches(ids, k, strong,
+                                                      per_batch))
+                assert [len(b) for b in batches[:-1]] \
+                    == [per_batch] * (len(batches) - 1)
+                assert all(b.src.shape == b.dst.shape == (len(b), k)
+                           and b.forb.shape == (len(b), int(strong))
+                           for b in batches)
+                got = (b[i] for b in batches for i in range(len(b)))
+                want = linked_instances(ids, k, strong)
+                assert all(itertools.starmap(
+                    operator.eq, itertools.zip_longest(got, want)))
+
+
+def test_rebatch_cuts_fixed_batches_from_any_parts():
+    import numpy as np
+    rng = random.Random(3)
+    for _ in range(50):
+        sizes = [rng.choice((0, 1, 5, 12, 40))
+                 for _ in range(rng.randrange(6))]
+        parts = []
+        first = 0
+        for n in sizes:
+            parts.append(np.arange(first, first + n, dtype=np.uint64)
+                         .repeat(3).reshape(n, 3))
+            first += n
+        per_batch = rng.randrange(1, 15)
+        got = list(oracle._rebatch(iter(parts), 1, per_batch))
+        assert [len(b) for b in got] == [min(per_batch, first - at) for at in
+                                         range(0, first, per_batch)]
+        assert [b[i][1] for b in got for i in range(len(b))] \
+            == [(v,) for v in range(first)]
 
 
 # (graph, k, strong, seed); the graph is a cube ("cube", d) or a glued
@@ -289,8 +334,11 @@ def test_sampled_batches_match_random_sample(case):
                                        per_batch))
     assert [len(b) for b in got] == [min(per_batch, count - i)
                                      for i in range(0, count, per_batch)]
-    rows = [row for b in got for row in b.chosen.tolist()]
-    assert rows == [rng.sample(ids, size) for _ in range(count)]
+    rows = [row for b in oracle._sample_rows(len(ids), size, count, seed,
+                                             per_batch)
+            for row in b.tolist()]
+    assert [[ids[i] for i in row] for row in rows] \
+        == [rng.sample(ids, size) for _ in range(count)]
     want = list(_sample_instances_reference(ids, k, bool(strong), count,
                                             seed))
     assert [b[i] for b in got for i in range(len(b))] == want
@@ -308,9 +356,8 @@ def test_sampled_batches_cover_both_methods():
         for seed in (0, 1, 2 ** 40):
             rng = random.Random(seed)
             want = [rng.sample(ids, size) for _ in range(2100)]
-            got = [row for b in oracle._sampled_batches(
-                ids, size // 2, bool(size % 2), 2100, seed)
-                for row in b.chosen.tolist()]
+            got = [[ids[i] for i in row] for b in oracle._sample_rows(
+                n, size, 2100, seed) for row in b.tolist()]
             assert got == want, (n, size, seed)
 
 
@@ -337,7 +384,7 @@ def test_sampled_batch_pickles():
         back = pickle.loads(pickle.dumps(batch))
         assert [back[i] for i in range(len(back))] == list(batch) \
             == [batch[i] for i in range(len(batch))]
-        assert (back.blocked == batch.blocked).all()
+        assert (back.rows == batch.rows).all() and back.lead == batch.lead
 
 
 def test_sampled_campaign_keeps_stream_order():
@@ -384,7 +431,7 @@ def test_campaign_decided_by_complete_search(monkeypatch):
     v = verify_k_linked(g, 2)
     assert len(found) > 0 and any(found)
     checked, witness = 0, None
-    for _, forb, pr in _linked_instances(sorted(g.vertices()), 2, False):
+    for _, forb, pr in linked_instances(sorted(g.vertices()), 2, False):
         checked += 1
         if not naive_linked(g, pr, forb):
             witness = pr
@@ -423,6 +470,17 @@ def test_symmetry_agrees_at_k_0():
             assert reduced.status == plain.status == "verified"
             assert reduced.instances_checked == reduced.detail["orbits"] == 1
             assert reduced.detail["labelled_total"] == plain.instances_checked
+
+
+def test_symmetry_counterexample_counts_cover_every_chunk(monkeypatch):
+    # Q_4 is not 3-linked and the first chunk already holds the witness;
+    # the orbit counts must still cover the chunks the campaign never read
+    monkeypatch.setattr(cubelink.symmetry, "_CHUNK", 7)
+    v = verify_k_linked(cube_graph(4), 3, symmetry=4)
+    assert v.status == "counterexample" and v.instances_checked == 15
+    assert v.detail == {"orbits": 437, "group_order": 384,
+                        "labelled_total": 120120}
+    assert len(cubelink.symmetry.canonical_subsets(4, 6)[0]) > 7 * 2
 
 
 def test_verify_sampled_deterministic():
@@ -716,17 +774,13 @@ def test_prefilter_matches_scalar_greedy():
             continue
         batch = [((), tuple(sorted(f)), pr) for pr, f in probs]
         check = oracle._LinkedCheck(g.adj, g.active, 10 ** 4)
-        got = check.passes(batch).tolist()
+        got = check.passes(instance_batch(batch)).tolist()
         want = [_scalar_greedy(g, pr, mask_of(f)) for pr, f in probs]
         assert got == want
         rows += len(probs)
         passed += sum(want)
         top_bit += sum(63 in {v for p in pr for v in p} | f for pr, f in probs)
     assert rows > 8000 and 0 < passed < rows and top_bit > 0
-    # a batch mixing pair counts is left to the scalar solver
-    g = cube_graph(3)
-    mixed = [((), (), ((0, 1),)), ((), (), ((0, 3), (5, 6)))]
-    assert oracle._LinkedCheck(g.adj, g.active, 10).passes(mixed) is None
 
 
 def test_prefilter_paths_are_the_scalar_paths():
@@ -768,9 +822,9 @@ def test_prefilter_keeps_stream_order():
     # most of its 630 2-pair instances, misses a few linked ones, and 75
     # are unlinked
     g = random_graph(random.Random(10), 10, 0.4)
-    insts = list(_linked_instances(sorted(g.vertices()), 2, False))
+    insts = list(linked_instances(sorted(g.vertices()), 2, False))
     check = oracle._LinkedCheck(g.adj, g.active, 10 ** 7)
-    passed = check.passes(insts)
+    passed = check.passes(instance_batch(insts))
     linked = [_scalar_run(g, [inst])[1] is None for inst in insts]
     greedy = [inst for inst, p in zip(insts, passed) if p]
     missed = [inst for inst, p, ok in zip(insts, passed, linked)
@@ -783,11 +837,11 @@ def test_prefilter_keeps_stream_order():
         stream = [rng.choice(greedy + missed) for _ in range(at)]
         stream += [unlinked[at % len(unlinked)]]
         stream += [rng.choice(insts) for _ in range(CAMPAIGN_BATCH)]
-        run = campaign(_batched(stream), check)
+        run = campaign(map(instance_batch, _batched(stream)), check)
         assert (run.checked, run.witness) == _scalar_run(g, stream) \
             == (at + 1, unlinked[at % len(unlinked)])
     stream = [rng.choice(greedy + missed) for _ in range(2500)]
-    run = campaign(_batched(stream), check, jobs=2)
+    run = campaign(map(instance_batch, _batched(stream)), check, jobs=2)
     assert (run.checked, run.witness) == _scalar_run(g, stream) == (2500, None)
 
 
@@ -797,7 +851,7 @@ def test_large_graphs_skip_the_prefilter():
     ids = sorted(g.vertices())
     check = oracle._LinkedCheck(g.adj, g.active, 10 ** 7)
     insts = list(_sampled_instances(ids, 3, False, 1500, seed=6))
-    assert check.passes(insts) is None
+    assert check.passes(instance_batch(insts)) is None
     v = verify_k_linked(g, 3, mode="sampled", samples=1500, seed=6)
     checked, witness = _scalar_run(g, insts)
     assert v.status == "sampled_pass" and witness is None

@@ -12,14 +12,77 @@ from cubelink.oracle import LinkageProblem, solve_linkage
 from cubelink.symmetry import (
     _stabilizers,
     _zero_maps,
-    apply_instance,
-    canonical_instance,
     canonical_marked_instances,
     canonical_subsets,
     group_order,
     group_tables,
-    random_table,
 )
+
+
+# -- brute-force references ------------------------------------------------
+
+
+def random_table(d: int, rng: random.Random) -> tuple[int, ...]:
+    n = 1 << d
+    perm = list(range(d))
+    rng.shuffle(perm)
+    flip = rng.randrange(n)
+    out = []
+    for v in range(n):
+        w = 0
+        for i in range(d):
+            if (v >> i) & 1:
+                w |= 1 << perm[i]
+        out.append(w ^ flip)
+    return tuple(out)
+
+
+def apply_instance(table, inst):
+    """Image of a (subset, forbidden, pairing) instance, re-normalized."""
+    subset, forb, pr = inst
+    nsub = tuple(sorted(table[v] for v in subset))
+    nforb = tuple(sorted(table[v] for v in forb))
+    npr = tuple(sorted(tuple(sorted((table[a], table[b]))) for a, b in pr))
+    return nsub, nforb, npr
+
+
+def canonical_instance(d: int, inst):
+    """Lexicographically least image of the instance under the group.
+
+    The least image's subset must contain vertex 0, so only flips sending
+    some subset vertex to 0 can produce it; that cuts the flip factor from
+    2^d to the subset size and keeps d=6 workable without full tables.
+    """
+    subset = inst[0]
+    if not subset:
+        return inst
+    best = None
+    n = 1 << d
+    for perm in itertools.permutations(range(d)):
+        moved = []
+        for v in range(n):
+            w = 0
+            for i in range(d):
+                if (v >> i) & 1:
+                    w |= 1 << perm[i]
+            moved.append(w)
+        for v0 in subset:
+            flip = moved[v0]
+            table = [w ^ flip for w in moved]
+            img = apply_instance(table, inst)
+            if best is None or img < best:
+                best = img
+    return best
+
+
+def _instances(d, k, strong):
+    """canonical_marked_instances read to the end: its instance tuples in
+    stream order, and its info."""
+    batches, info = canonical_marked_instances(d, k, strong)
+    return [inst for batch in batches for inst in batch], info
+
+
+# -- tests -------------------------------------------------------------------
 
 
 def test_group_order():
@@ -140,10 +203,10 @@ def test_canonical_subsets_refuse_intransitive_tables():
 
 def test_empty_subset_is_one_orbit():
     assert canonical_subsets(3, 0)[0] == [()]
-    insts, info = canonical_marked_instances(3, 0, strong=False)
+    insts, info = _instances(3, 0, strong=False)
     assert insts == [((), (), ())]
     assert info == {"orbits": 1, "group_order": 48, "labelled_total": 1}
-    insts, info = canonical_marked_instances(3, 0, strong=True)
+    insts, info = _instances(3, 0, strong=True)
     assert insts == [((0,), (0,), ())]
     assert info == {"orbits": 1, "group_order": 48, "labelled_total": 8}
 
@@ -151,7 +214,7 @@ def test_empty_subset_is_one_orbit():
 def test_q5_orbit_structure():
     assert len(canonical_subsets(5, 5)[0]) == 131
     assert len(canonical_subsets(5, 6)[0]) == 472
-    _, info = canonical_marked_instances(5, 2, strong=True)
+    _, info = _instances(5, 2, strong=True)
     assert info == {"orbits": 1297, "group_order": 3840,
                     "labelled_total": 3020640}
 
@@ -179,9 +242,9 @@ def test_stabilizer_matches_set_scan():
 
 def test_instance_chunks_do_not_change_the_output(monkeypatch):
     runs = [(4, 2, True), (5, 2, False)]
-    whole = [canonical_marked_instances(*run) for run in runs]
+    whole = [_instances(*run) for run in runs]
     monkeypatch.setattr(cubelink.symmetry, "_CHUNK", 7)
-    assert [canonical_marked_instances(*run) for run in runs] == whole
+    assert [_instances(*run) for run in runs] == whole
 
 
 def test_canonical_subsets_orbit_sizes_cover_everything():
@@ -196,7 +259,7 @@ def test_canonical_subsets_orbit_sizes_cover_everything():
 
 def test_canonical_marked_instances_small():
     # Q_3, k=1: pairs up to symmetry = one orbit per distance 1..3
-    insts, info = canonical_marked_instances(3, 1, strong=False)
+    insts, info = _instances(3, 1, strong=False)
     assert info["orbits"] == len(insts) == 3
     assert info["group_order"] == 48
     assert info["labelled_total"] == math.comb(8, 2)
@@ -212,7 +275,7 @@ def test_canonical_marked_instances_refuse_more_than_15_terminals():
 
 
 def test_canonical_marked_instances_expand_to_labelled_total():
-    insts, info = canonical_marked_instances(3, 2, strong=False)
+    insts, info = _instances(3, 2, strong=False)
     assert info["labelled_total"] == math.comb(8, 4) * 3
     tables = group_tables(3).tolist()
     labelled = set()
@@ -221,7 +284,7 @@ def test_canonical_marked_instances_expand_to_labelled_total():
             labelled.add(apply_instance(t, inst))
     assert len(labelled) == info["labelled_total"]
     # strong flavour: subset of 2k+1 with a marked leftover
-    sinsts, sinfo = canonical_marked_instances(3, 1, strong=True)
+    sinsts, sinfo = _instances(3, 1, strong=True)
     assert sinfo["labelled_total"] == math.comb(8, 3) * 3
     slabelled = set()
     for inst in sinsts:
@@ -246,6 +309,6 @@ def test_orbit_walk_output_pinned():
     runs = [(d, k, strong) for d, ks in ((3, (1, 2)), (4, (1, 2)), (5, (2,)))
             for k in ks for strong in (False, True)] + [(5, 3, False)]
     for d, k, strong in runs:
-        insts, info = canonical_marked_instances(d, k, strong)
+        insts, info = _instances(d, k, strong)
         h.update(repr((d, k, strong, insts, sorted(info.items()))).encode())
     assert h.hexdigest() == ORBIT_WALK_DIGEST
