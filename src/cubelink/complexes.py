@@ -10,10 +10,13 @@ without translation tables.
 Lattice queries are memoized on the complex they are asked of: `star`,
 `vertex_star`, `link`, the facet-ridge dual graph, `chart` and `graph` are
 computed once per complex and argument, and the same object is returned on
-every later call.  A reused star keeps its own charts, graph and sub-stars.  A
-subcomplex shares the face tuples of its parent instead of copying them.
+every later call; so are `vertex_ids`, `vertex_mask` and `facets()`.  A
+reused star keeps its own charts, graph and sub-stars.  A subcomplex
+shares the face tuples of its parent instead of copying them.
 Complexes are immutable: a returned complex (or its `faces`) must never be
 mutated, since every later caller of the same query would see the change.
+A complex pickles as its labels and levels only, and its memos are rebuilt
+on the other side as they are asked for.
 
 Cube structure on a face is recovered by a chart: a certified bijection
 between the face's vertices and m-bit patterns under which complex edges
@@ -23,6 +26,7 @@ bit-twiddling primitives in cube.py.
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
                     Sequence)
@@ -69,9 +73,7 @@ class PolytopalComplex:
         """Complex over the parent's labels whose levels hold face tuples of
         the parent itself: they are sorted already and are shared, not
         copied."""
-        c = cls.__new__(cls)
-        c._set_levels(parent.labels, [tuple(level) for level in levels])
-        return c
+        return _from_levels(parent.labels, [tuple(level) for level in levels])
 
     def _set_levels(self, labels: tuple, levels: list) -> None:
         while levels and not levels[-1]:
@@ -85,6 +87,12 @@ class PolytopalComplex:
         self._charts: dict[FaceHandle, "FacetChart"] = {}
         # memoized lattice queries, keyed by query name and argument
         self._memo: dict = {}
+
+    def __reduce__(self):
+        # labels and levels only: the memoized queries, charts, graph and
+        # face indices are rebuilt on demand, so a warm complex pickles as
+        # small as a cold one (campaign workers get one with every batch)
+        return _from_levels, (self.labels, self.faces)
 
     def _level_index(self, j: int) -> dict[tuple[int, ...], int]:
         idx = self._index[j]
@@ -149,13 +157,13 @@ class PolytopalComplex:
     def dim(self) -> int:
         return len(self.faces) - 1
 
-    @property
+    @functools.cached_property
     def vertex_ids(self) -> tuple[int, ...]:
         if not self.faces:
             return ()
         return tuple(f[0] for f in self.faces[0])
 
-    @property
+    @functools.cached_property
     def vertex_mask(self) -> int:
         return mask_of(self.vertex_ids)
 
@@ -191,6 +199,10 @@ class PolytopalComplex:
                 yield FaceHandle(j, i)
 
     def facets(self) -> tuple[FaceHandle, ...]:
+        return self._facets
+
+    @functools.cached_property
+    def _facets(self) -> tuple[FaceHandle, ...]:
         return tuple(self.faces_of_dim(self.dim))
 
     def vertex_handle(self, v: int) -> FaceHandle:
@@ -300,6 +312,14 @@ class PolytopalComplex:
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(",", ":"), sort_keys=True)
+
+
+def _from_levels(labels: tuple, levels) -> PolytopalComplex:
+    """A complex over `labels` with levels of sorted face tuples, taken as
+    they are: for subcomplexes and unpickling."""
+    c = PolytopalComplex.__new__(PolytopalComplex)
+    c._set_levels(labels, list(levels))
+    return c
 
 
 def _label_to_json(label):

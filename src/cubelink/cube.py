@@ -9,6 +9,7 @@ mask operations.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .graphs import Graph
@@ -73,24 +74,12 @@ class CubeFace(NamedTuple):
         return self
 
 
-def full_cube(d: int) -> CubeFace:
-    _check_dim(d)
-    return CubeFace(d, 0, 0)
-
-
 def min_face(d: int, u: int, v: int) -> CubeFace:
     """Smallest face containing both u and v (fix every agreeing coordinate)."""
     _check_vertex(d, u)
     _check_vertex(d, v)
     mask = ((1 << d) - 1) & ~(u ^ v)
     return CubeFace(d, mask, u & mask)
-
-
-def opposite_in_face(v: int, face: CubeFace) -> int:
-    """The vertex of `face` antipodal to v (all free coordinates flipped)."""
-    if not face.contains(v):
-        raise ValueError(f"vertex {v} not in face")
-    return v ^ face.free_mask
 
 
 class OppositeFacetPair(NamedTuple):
@@ -122,18 +111,6 @@ def project(x: int, pair: OppositeFacetPair, side: int) -> int:
     _check_vertex(pair.d, x)
     bit = 1 << pair.coord
     return (x & ~bit) | (side * bit)
-
-
-def project_face(face: CubeFace, pair: OppositeFacetPair, side: int) -> CubeFace:
-    """Image of a face under `project`.  Always a face again; the dimension
-    drops by one exactly when `pair.coord` was free in the face."""
-    if side not in (0, 1):
-        raise ValueError("side must be 0 or 1")
-    if face.d != pair.d:
-        raise ValueError("dimension mismatch")
-    bit = 1 << pair.coord
-    return CubeFace(face.d, face.fixed_mask | bit,
-                    (face.fixed_values & ~bit) | (side * bit))
 
 
 def associated_pairs(d: int, zone: Iterable[int]) -> tuple[OppositeFacetPair, ...]:
@@ -187,8 +164,10 @@ def associated_counts_bulk(d: int, masks) -> "np.ndarray":
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def cube_graph(d: int) -> Graph:
-    """Graph of the d-cube: vertex v adjacent to v ^ (1 << i)."""
+    """Graph of the d-cube: vertex v adjacent to v ^ (1 << i).  Built once
+    per d and shared, as a Graph is frozen."""
     _check_dim(d)
     n = 1 << d
     adj = tuple(
@@ -202,12 +181,6 @@ def distance(u: int, v: int) -> int:
     """Hamming distance, which is the graph distance in any cube containing
     both vertices."""
     return (u ^ v).bit_count()
-
-
-def neighbors(d: int, v: int) -> Iterator[int]:
-    _check_vertex(d, v)
-    for i in range(d):
-        yield v ^ (1 << i)
 
 
 def faces_of_dim(d: int, k: int) -> Iterator[CubeFace]:

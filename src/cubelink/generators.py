@@ -3,6 +3,12 @@
 Labels carry the geometry: a cube vertex is labelled by its bit pattern,
 a glued-chain vertex by (layer, bits) with layer 0..n along the chain and
 bits ranging over the (d-1) cross coordinates.
+
+`build_complex` builds each generated complex once per process and hands
+the same object to every later caller of an equal spec, together with
+everything memoized on it (its graph, stars, charts).  A complex is a
+read-only value, so sharing it is safe; `from_file` complexes are read
+from their file on every call.
 """
 
 from __future__ import annotations
@@ -115,18 +121,24 @@ class InstanceSpec:
 
 
 def build_complex(spec: InstanceSpec) -> PolytopalComplex:
-    """The complex an InstanceSpec denotes (for star specs, the base)."""
-    if spec.kind == "cube":
-        return cube_boundary(spec.dim)
-    if spec.kind == "glued_chain":
-        return glued_cubes(spec.dim, spec.chain_length)
-    if spec.kind == "star_of_vertex":
-        if spec.chain_length >= 2:
-            return glued_cubes(spec.dim, spec.chain_length)
-        return cube_boundary(spec.dim)
+    """The complex an InstanceSpec denotes (for star specs, the base).
+    A generated complex is shared with every other caller in the process;
+    a `from_file` one is loaded afresh."""
     if spec.kind == "from_file":
         return load_complex(spec.path)
-    raise AssertionError
+    if spec.kind == "cube" or spec.chain_length < 2:
+        return _generated(spec.dim, 0)
+    return _generated(spec.dim, spec.chain_length)
+
+
+@functools.lru_cache(maxsize=None)
+def _generated(dim: int, chain_length: int) -> PolytopalComplex:
+    """The d-cube boundary (chain_length 0) or a glued chain, built on the
+    first call only.  A refused size raises on every call, since a raise
+    is not cached."""
+    if chain_length:
+        return glued_cubes(dim, chain_length)
+    return cube_boundary(dim)
 
 
 def default_star_center(spec: InstanceSpec) -> int:

@@ -208,18 +208,6 @@ def connected_within(g: Graph, region: int) -> bool:
     return reachable_mask(g, seed, region) == region
 
 
-def components(g: Graph, region: Optional[int] = None) -> list[int]:
-    region = g.active if region is None else region & g.active
-    out = []
-    rest = region
-    while rest:
-        seed = rest & -rest
-        comp = reachable_mask(g, seed, region)
-        out.append(comp)
-        rest &= ~comp
-    return out
-
-
 def bfs_distances(g: Graph, seeds: int, allowed: Optional[int] = None) -> dict[int, int]:
     """Distance from the seed set to every reachable vertex, seeds at 0."""
     allowed = g.active if allowed is None else allowed & g.active

@@ -494,14 +494,6 @@ def pairings(items: Sequence[int]) -> Iterator[tuple[tuple[int, int], ...]]:
             yield ((a, partner),) + sub
 
 
-def count_pairings(m: int) -> int:
-    out = 1
-    while m > 1:
-        out *= m - 1
-        m -= 2
-    return out
-
-
 Instance = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]
 # (subset, forbidden-part, pairing); the canonical witness ordering is the
 # tuple order of exactly this triple
@@ -660,26 +652,40 @@ def _read_words(rng: random.Random, count: int):
     return np.frombuffer(raw, dtype="<u4")
 
 
+@functools.lru_cache(maxsize=None)
+def _pool_tables(n: int, size: int):
+    """The tables `_PoolDraws` reads for a population of n and samples of
+    size, built once per (n, size) and shared read-only: (bits, value,
+    always, sometimes, keep_by_step, words_per_draw).  Per top bits t of a
+    word, value[i][t] is the r of `_randbelow(n - i)` at step i; always[t]
+    and sometimes[t] say whether every step keeps the word or only some
+    do; keep_by_step[t][i] says whether step i does, listed twice over so
+    a phase needs no mod."""
+    import numpy as np
+    bits = n.bit_length()
+    lens = [(n - i).bit_length() for i in range(size)]
+    tops = np.arange(1 << bits)
+    value = tuple(tops >> (bits - b) for b in lens)
+    keep = np.stack(value) < (n - np.arange(size))[:, None]
+    always = keep.all(axis=0)
+    sometimes = keep.any(axis=0) & ~always
+    for a in value + (always, sometimes):
+        a.flags.writeable = False
+    keep_by_step = tuple(tuple(col * 2) for col in keep.T.tolist())
+    words_per_draw = sum((1 << b) / (n - i) for i, b in enumerate(lens)) / size
+    return bits, value, always, sometimes, keep_by_step, words_per_draw
+
+
 class _PoolDraws:
     """Pool-method draws.  `decode` keeps a word's top `bits` bits when
     `_randbelow(n - i)` keeps the word, step i being the number of words
-    kept before it mod size; `cut` turns kept words into samples."""
+    kept before it mod size; `cut` turns kept words into samples.  Only
+    the step is the stream's own; the tables are `_pool_tables`'."""
 
     def __init__(self, n: int, size: int):
-        import numpy as np
         self.n, self.size = n, size
-        self.bits = n.bit_length()
-        lens = [(n - i).bit_length() for i in range(size)]
-        tops = np.arange(1 << self.bits)
-        # per step i and top bits t: the r of _randbelow, and whether kept
-        self.value = [tops >> (self.bits - b) for b in lens]
-        keep = np.stack(self.value) < (n - np.arange(size))[:, None]
-        self.always = keep.all(axis=0)
-        self.sometimes = keep.any(axis=0) & ~self.always
-        # per t, kept-or-not by step, twice over so a phase needs no mod
-        self.keep_by_step = [col * 2 for col in keep.T.tolist()]
-        self.words_per_draw = sum((1 << b) / (n - i)
-                                  for i, b in enumerate(lens)) / size
+        (self.bits, self.value, self.always, self.sometimes,
+         self.keep_by_step, self.words_per_draw) = _pool_tables(n, size)
         self.draws_per_sample = size
         self.step = 0                   # the step of the next word
 

@@ -6,7 +6,9 @@ import collections
 import itertools
 import random
 
-from cubelink.graphs import Graph, bits, graph_from_edges, mask_of
+from cubelink.cube import CubeFace, OppositeFacetPair
+from cubelink.graphs import (Graph, bits, graph_from_edges, mask_of,
+                             reachable_mask)
 
 
 def iter_simple_paths(g: Graph, s: int, t: int, banned):
@@ -173,3 +175,52 @@ def instance_batch(insts):
             for _, forb, pr in insts]
     return _InstanceBatch(np.array(rows, dtype=np.uint64).reshape(
         len(insts), width), lead)
+
+
+# -- small references that only the tests use -----------------------------
+
+
+def full_cube(d: int) -> CubeFace:
+    """The d-cube as a face of itself."""
+    return CubeFace(d, 0, 0).validate()
+
+
+def opposite_in_face(v: int, face: CubeFace) -> int:
+    """The vertex of `face` antipodal to v (all free coordinates flipped)."""
+    if not face.contains(v):
+        raise ValueError(f"vertex {v} not in face")
+    return v ^ face.free_mask
+
+
+def project_face(face: CubeFace, pair: OppositeFacetPair,
+                 side: int) -> CubeFace:
+    """Image of a face under `cube.project` onto the facet x_coord = side."""
+    bit = 1 << pair.coord
+    return CubeFace(face.d, face.fixed_mask | bit,
+                    (face.fixed_values & ~bit) | (side * bit))
+
+
+def neighbors(d: int, v: int):
+    """The d cube neighbours of v, by flipping each coordinate."""
+    return [v ^ (1 << i) for i in range(d)]
+
+
+def components(g: Graph, region=None) -> list[int]:
+    """The connected components of g inside `region`, as bitmasks."""
+    region = g.active if region is None else region & g.active
+    out = []
+    rest = region
+    while rest:
+        comp = reachable_mask(g, rest & -rest, region)
+        out.append(comp)
+        rest &= ~comp
+    return out
+
+
+def count_pairings(m: int) -> int:
+    """(m - 1)!!, the number of perfect matchings of m items."""
+    out = 1
+    while m > 1:
+        out *= m - 1
+        m -= 2
+    return out

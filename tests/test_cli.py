@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hst
 
 import cubelink.cli
+from cubelink import cube, generators, oracle, symmetry
 from cubelink.cli import main
 from cubelink.generators import glued_cubes
 from cubelink.linker import ProofStepError
@@ -164,20 +165,44 @@ _PINNED_VERIFY = (
 )
 
 
+def _clear_process_caches():
+    """Empty every per-process cache of the package (the shared generated
+    complexes with their lattice memos, the cube graphs, the sampler and
+    prefilter tables, the symmetry group), as in a fresh process."""
+    for mod in (cube, generators, oracle, symmetry):
+        for fn in vars(mod).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+
 def test_verify_reports_pinned(capsys, monkeypatch):
     # sha256 over the exit code and report of one verify run per check
     # (and per report format), the elapsed_ms values cut out; every check
-    # needs a pinned report
+    # needs a pinned report.  The list runs cold, then again on the
+    # complexes and tables the first pass left behind
     assert ({argv[argv.index("--check") + 1] for argv in _PINNED_VERIFY}
             == set(cubelink.cli.CHECKS))
     monkeypatch.delenv("CUBELINK_JOBS", raising=False)
-    h = hashlib.sha256()
-    for argv in _PINNED_VERIFY:
-        code, out, _ = run(capsys, "verify", *argv)
-        h.update(f"{code}\n".encode())
-        h.update(re.sub(r"(elapsed_ms\W+)\d+", r"\1", out).encode())
-    assert h.hexdigest() == (
-        "4498c1d946d96876e985fa0e88413c03e278328c4a9551f295555d747f52c015")
+    _clear_process_caches()
+    for _ in ("cold", "warm"):
+        h = hashlib.sha256()
+        for argv in _PINNED_VERIFY:
+            code, out, _ = run(capsys, "verify", *argv)
+            h.update(f"{code}\n".encode())
+            h.update(re.sub(r"(elapsed_ms\W+)\d+", r"\1", out).encode())
+        assert h.hexdigest() == (
+            "4498c1d946d96876e985fa0e88413c03e278328c4a9551f295555d747f52c015")
+
+
+def test_refused_dimension_exits_two_on_every_call(capsys):
+    # a refused build is not cached: the second call is refused as well
+    for kind in (("--kind", "cube"),
+                 ("--kind", "glued_chain", "--chain-length", "2")):
+        for _ in range(2):
+            code, out, err = run(capsys, "verify", *kind, "--dim", "7",
+                                 "--check", "k_linked", "--k", "4",
+                                 "--mode", "sampled", "--samples", "10")
+            assert code == 2 and out == "" and "d <= 6" in err
 
 
 def test_construct_solve_adjacency_problem(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import copy
 import json
+import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,8 @@ from cubelink.complexes import (ComplexError, NotCubicalError, _dual_graph,
 from cubelink.generators import (InstanceSpec, build_complex, cube_boundary,
                                  glued_cubes)
 from cubelink.graphs import vertex_connectivity
+from cubelink.linker import link_in_polytope
+from cubelink.oracle import pairings
 
 
 def test_cube_boundary_f_vector():
@@ -353,3 +357,29 @@ def test_technical_frame_check_on_cube():
         technical_lemma_check(st, 0, s2, with12[0], with12[0])
     with pytest.raises(ComplexError):
         technical_lemma_check(st, 0, 0, without[0], with12[0])
+
+
+def test_complex_pickles_as_labels_and_levels_only():
+    # a campaign worker gets its complex pickled with every batch, so the
+    # memoized lattice must not travel with it
+    c = glued_cubes(5, 2)
+    st = vertex_star(glued_cubes(5, 2), 16)
+    cold = pickle.dumps(c), pickle.dumps(st)
+    rng = random.Random(7)
+    ids = sorted(c.vertex_ids)
+    for _ in range(300):
+        chosen = rng.sample(ids, 6)
+        prs = list(pairings(tuple(chosen)))
+        link_in_polytope(c, chosen, prs[rng.randrange(len(prs))])
+    st = vertex_star(c, 16)
+    for h in st.facets():
+        st.chart(h)
+    assert len(c._memo) > 1 and st._charts and c.facets()
+    assert (pickle.dumps(c), pickle.dumps(st)) == cold
+    for warm in (c, st):
+        back = pickle.loads(pickle.dumps(warm))
+        assert back.labels == warm.labels and back.faces == warm.faces
+        assert back.graph() == warm.graph()
+        assert back.facets() == warm.facets()
+        assert back.vertex_mask == warm.vertex_mask
+        assert vertex_star(back, 16).faces == vertex_star(warm, 16).faces

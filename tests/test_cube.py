@@ -6,10 +6,10 @@ import random
 import numpy as np
 import pytest
 
+from conftest import full_cube, neighbors, opposite_in_face, project_face
 from cubelink.cube import (CubeFace, OppositeFacetPair, associated_counts_bulk,
                            associated_pairs, cube_graph, distance, faces_of_dim,
-                           free_pair, full_cube, min_face, neighbors,
-                           opposite_in_face, project, project_face)
+                           free_pair, min_face, project)
 
 
 def test_face_membership_and_dim():

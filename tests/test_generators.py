@@ -108,6 +108,37 @@ def test_build_complex_dispatch(tmp_path):
     assert loaded.f_vector() == c.f_vector()
 
 
+def test_equal_generated_specs_share_one_complex():
+    # built once per process: a star spec shares its base with the plain
+    # spec of the same complex, and a cube ignores its chain length
+    bi = build_complex(InstanceSpec("glued_chain", dim=5, chain_length=2))
+    assert build_complex(
+        InstanceSpec("glued_chain", dim=5, chain_length=2)) is bi
+    assert build_complex(
+        InstanceSpec("star_of_vertex", dim=5, chain_length=2)) is bi
+    q4 = build_complex(InstanceSpec("cube", dim=4))
+    assert build_complex(InstanceSpec("cube", dim=4, chain_length=3)) is q4
+    assert build_complex(InstanceSpec("star_of_vertex", dim=4)) is q4
+    assert build_complex(InstanceSpec("cube", dim=5)) is not q4
+    # the shared complex is the one the generators build
+    assert bi.faces == glued_cubes(5, 2).faces
+    assert q4.faces == cube_boundary(4).faces
+
+
+def test_from_file_is_read_on_every_call(tmp_path):
+    f = tmp_path / "c.json"
+    spec = InstanceSpec("from_file", path=str(f))
+    f.write_text(cube_boundary(3).dumps())
+    first = build_complex(spec)
+    f.write_text(glued_cubes(3, 2).dumps())
+    second = build_complex(spec)
+    assert first.f_vector() == (8, 12, 6)
+    assert second.f_vector() == glued_cubes(3, 2).f_vector()
+    f.write_text("{")
+    with pytest.raises(ValueError):
+        build_complex(spec)
+
+
 def test_default_star_center():
     assert default_star_center(InstanceSpec("star_of_vertex", dim=5)) == 0
     # chain stars sit on the gluing facet so they straddle both cubes

@@ -9,16 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from conftest import (brute_min_vertex_cut, has_set_path, least_id_path,
-                      random_graph)
+from conftest import (brute_min_vertex_cut, components, has_set_path,
+                      least_id_path, random_graph)
 from cubelink.complexes import facet_ridge_path, vertex_star
 from cubelink.cube import cube_graph
 from cubelink.generators import cube_boundary, glued_cubes
-from cubelink.graphs import (Graph, bfs_distances, bits, components,
-                             connected_within, disjoint_paths,
-                             graph_from_edges, local_connectivity, mask_of,
-                             reachable_mask, shortest_path,
-                             vertex_connectivity)
+from cubelink.graphs import (Graph, bfs_distances, bits, connected_within,
+                             disjoint_paths, graph_from_edges,
+                             local_connectivity, mask_of, reachable_mask,
+                             shortest_path, vertex_connectivity)
 
 
 def path_graph(n):

@@ -16,6 +16,7 @@ from cubelink import linker, oracle
 
 from conftest import (
     brute_min_vertex_cut,
+    count_pairings,
     instance_batch,
     linked_instances,
     naive_linked,
@@ -36,7 +37,6 @@ from cubelink.oracle import (
     _sampled_instances,
     campaign,
     contains_k23,
-    count_pairings,
     enumerate_separators,
     k23_witness,
     menger_paths,
