@@ -19,7 +19,7 @@ from .complexes import (ComplexError, FaceHandle, FacetChart,  # noqa: E402
                         link, load_complex, other_facet_with_ridge, star,
                         technical_lemma_check, vertex_star)
 from .cube import (CubeFace, OppositeFacetPair, free_pair,  # noqa: E402
-                   min_face, project)
+                   project)
 from .generators import (InstanceSpec, build_complex,  # noqa: E402
                          build_star, cube_boundary, glued_cubes,
                          star_instance)
@@ -28,12 +28,12 @@ from .linker import (ConfigDFContext, ConfigDFRefusal,  # noqa: E402
                      ProofStepError, StarProblem, detect_config_dF,
                      link_in_polytope, link_in_star, strong_link_even)
 from .oracle import (Linkage, LinkageProblem,  # noqa: E402
-                     SearchBudgetExceeded, contains_k23,
-                     enumerate_separators, menger_paths, solve_linkage,
+                     SearchBudgetExceeded, enumerate_separators,
+                     k23_witness, menger_paths, solve_linkage,
                      verify_k_linked, verify_strongly_linked)
 
 __all__ = [
-    "CubeFace", "OppositeFacetPair", "free_pair", "min_face", "project",
+    "CubeFace", "OppositeFacetPair", "free_pair", "project",
     "Graph", "bits", "mask_of",
     "ComplexError", "NotCubicalError", "FaceHandle", "FacetChart",
     "PolytopalComplex", "load_complex", "star", "antistar", "link",
@@ -43,7 +43,7 @@ __all__ = [
     "glued_cubes", "star_instance",
     "SearchBudgetExceeded", "LinkageProblem", "Linkage", "solve_linkage",
     "menger_paths", "verify_k_linked", "verify_strongly_linked",
-    "enumerate_separators", "contains_k23",
+    "enumerate_separators", "k23_witness",
     "ProofStepError", "ConfigDFContext", "ConfigDFRefusal", "StarProblem",
     "detect_config_dF", "link_in_star", "link_in_polytope",
     "strong_link_even",

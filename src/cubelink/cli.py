@@ -29,20 +29,20 @@ import random
 import sys
 import time
 from dataclasses import asdict, dataclass
-from itertools import combinations
 
 from .complexes import (ComplexError, PolytopalComplex, antistar,
                         technical_lemma_check, vertex_star)
 from .cube import associated_counts_bulk
-from .generators import (InstanceSpec, build_complex, default_star_center,
-                         star_instance)
+from .generators import (InstanceSpec, build_complex, build_star,
+                         default_star_center, star_instance)
 from .graphs import Graph, bits, vertex_connectivity
 from .linker import (ConfigDFRefusal, ProofStepError, StarProblem,
                      detect_config_dF, link_in_polytope, link_in_star,
                      strong_link_even)
-from .oracle import (DEFAULT_BUDGET, InvalidLinkage, Linkage,
-                     LinkageProblem, SearchBudgetExceeded, _batched, campaign,
-                     k23_witness, pairings, solve_linkage, verify_k_linked,
+from .oracle import (CAMPAIGN_BATCH, DEFAULT_BUDGET, InvalidLinkage,
+                     Linkage, LinkageProblem, SearchBudgetExceeded,
+                     _linked_batches, _sampled_batch, _sampled_batches,
+                     campaign, k23_witness, solve_linkage, verify_k_linked,
                      verify_strongly_linked)
 
 
@@ -70,6 +70,14 @@ def _spec_from_args(args) -> InstanceSpec:
         raise UsageError("--dim is required unless --kind from_file")
     return InstanceSpec(kind=args.kind, dim=args.dim,
                         chain_length=args.chain_length or 0)
+
+
+def _build(spec: InstanceSpec) -> PolytopalComplex:
+    """The complex a spec names: for a star spec the star itself, where
+    `build_complex` gives the polytope it lies in."""
+    if spec.kind == "star_of_vertex":
+        return build_star(spec).complex
+    return build_complex(spec)
 
 
 def _flatten(prefix: str, value, rows: list) -> None:
@@ -241,36 +249,31 @@ def _link_in_star_ordered(star: PolytopalComplex, centre: int, pairs):
     return Linkage(tuple(paths))
 
 
-def _star_exhaustive(ids, centre, k):
-    rest = [v for v in ids if v != centre]
-    for subset in combinations(rest, 2 * k - 1):
-        xs = tuple(sorted((centre,) + subset))
-        for pr in pairings(xs):
-            yield xs, pr
-
-
 def _star_sampled(ids, centre, k, n, seed):
+    """n seeded star instances as `_InstanceBatch`es: each draws 2k - 1
+    vertices besides the centre, then an order of all 2k, paired two by
+    two."""
+    import numpy as np
     rng = random.Random(seed)
     rest = [v for v in ids if v != centre]
-    for _ in range(n):
-        xs = [centre] + rng.sample(rest, 2 * k - 1)
-        order = rng.sample(xs, len(xs))
-        pr = tuple(sorted(tuple(sorted(order[2 * i:2 * i + 2]))
-                          for i in range(k)))
-        yield tuple(sorted(xs)), pr
+    for first in range(0, n, CAMPAIGN_BATCH):
+        chosen = [rng.sample([centre] + rng.sample(rest, 2 * k - 1), 2 * k)
+                  for _ in range(min(CAMPAIGN_BATCH, n - first))]
+        yield _sampled_batch(np.array(chosen, dtype=np.int64), 0)
 
 
 @dataclass(frozen=True)
 class _StarCheck:
-    """Campaign check on a star instance (xs, pairs): the router links iff
-    the oracle does and the configuration detector finds no block, and a
-    routed linkage is valid.  Tallies "linked" and "refused"."""
+    """Campaign check on a star instance (subset, forbidden, pairs), the
+    forbidden part empty: the router links iff the oracle does and the
+    configuration detector finds no block, and a routed linkage is valid.
+    Tallies "linked" and "refused"."""
     star: PolytopalComplex
     centre: int
     budget: int
 
     def __call__(self, inst, tally: dict):
-        xs, pr = inst
+        xs, _, pr = inst
         sg = self.star.graph()
         ours = _link_in_star_ordered(self.star, self.centre, pr)
         oracle = solve_linkage(LinkageProblem(sg, pr), self.budget)
@@ -294,16 +297,18 @@ class _StarCheck:
 
 
 def _check_star_lemma(args, spec: InstanceSpec, c: PolytopalComplex):
-    vs = star_instance(c, default_star_center(spec))
-    star, centre = vs.complex, vs.center
+    centre = default_star_center(spec)
+    star = (c if spec.kind == "star_of_vertex"
+            else star_instance(c, centre).complex)
     d = star.dim + 1
     if d % 2 == 0:
         raise UsageError("the star routing check needs odd dimension")
     k = _default_k(d)
     ids = sorted(star.vertex_ids)
-    insts = (_star_exhaustive(ids, centre, k) if args.mode == "exhaustive"
-             else _star_sampled(ids, centre, k, args.samples, args.seed))
-    run = campaign(_batched(insts), _StarCheck(star, centre, args.budget),
+    batches = (_linked_batches(ids, k, False, pinned=centre)
+               if args.mode == "exhaustive"
+               else _star_sampled(ids, centre, k, args.samples, args.seed))
+    run = campaign(batches, _StarCheck(star, centre, args.budget),
                    args.jobs, _progress_instances)
     return run.witness, run.checked, {
         "linked": run.tally.get("linked", 0),
@@ -394,7 +399,6 @@ class _ConstructCheck:
 
 
 def _check_link_construct(args, spec: InstanceSpec, c: PolytopalComplex):
-    from .oracle import _linked_batches, _sampled_batches
     d = c.dim + 1
     if d < 4:
         raise UsageError("constructive routing needs dimension >= 4")
@@ -423,6 +427,8 @@ _CHECKS = {
 CHECKS = tuple(_CHECKS)
 # checks with no sampled form: a sampled run would report an exhaustive one
 _EXHAUSTIVE_ONLY = ("separators", "technical_lemma", "k23")
+# checks that walk a whole polytope, not a vertex star
+_POLYTOPE_ONLY = ("technical_lemma", "link_construct")
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -441,7 +447,10 @@ def _cmd_verify(args) -> int:
     if args.samples < 1:
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
     spec = _spec_from_args(args)
-    c = build_complex(spec)
+    if spec.kind == "star_of_vertex" and args.check in _POLYTOPE_ONLY:
+        raise UsageError(f"{args.check} needs a polytope, not --kind "
+                         f"star_of_vertex")
+    c = _build(spec)
     t0 = time.perf_counter()
     witness, checked, detail = _CHECKS[args.check](args, spec, c)
     exhaustive = args.mode == "exhaustive"
@@ -558,21 +567,21 @@ def _construct_route(args, gspec, pairs, forbidden):
                 raise UsageError(f"instance key {key!r} must be "
                                  f"{want.__name__}, got {json.dumps(value)}")
         spec = InstanceSpec(**gspec)
-        c = build_complex(spec)
+        c = _build(spec)
         if spec.kind == "star_of_vertex":
             if forbidden:
                 raise UsageError("star routing takes no forbidden set")
-            vs = star_instance(c, default_star_center(spec))
-            _check_route_shape(vs.complex.dim + 1, pairs, star=True)
-            if all(vs.center not in p for p in pairs):
+            centre = default_star_center(spec)
+            _check_route_shape(c.dim + 1, pairs, star=True)
+            if all(centre not in p for p in pairs):
                 raise UsageError(f"star routing needs the centre "
-                                 f"{vs.center} among the terminals")
-            prob = LinkageProblem(vs.complex.graph(), pairs)
+                                 f"{centre} among the terminals")
+            prob = LinkageProblem(c.graph(), pairs)
 
             def route():
-                res = _link_in_star_ordered(vs.complex, vs.center, pairs)
+                res = _link_in_star_ordered(c, centre, pairs)
                 if isinstance(res, ConfigDFRefusal):
-                    return "refused", None, _refusal_json(vs.complex, res)
+                    return "refused", None, _refusal_json(c, res)
                 res.check_against(prob)
                 return "linked", [list(q) for q in res.paths], None
             return "link_in_star", route
@@ -617,7 +626,7 @@ def _construct_route(args, gspec, pairs, forbidden):
 
 def _cmd_inspect(args) -> int:
     spec = _spec_from_args(args)
-    c = build_complex(spec)
+    c = _build(spec)
     from .complexes import is_strongly_connected
     g = c.graph()
     fvec = list(c.f_vector())
@@ -653,10 +662,15 @@ def _cmd_bench(args) -> int:
         marks[name] = {"ops": reps, "elapsed_ms": int(dt * 1000),
                        "per_sec": round(reps / dt, 1) if dt else None}
 
-    from .oracle import _sampled_instances, menger_paths
+    from .oracle import menger_paths
     even = d % 2 == 0
     k = d // 2 if even else _default_k(d)
-    insts = iter(list(_sampled_instances(ids, k, False, n, args.seed)))
+
+    def sampled(strong, count):
+        # the instance tuples, built before the clock starts
+        return iter([inst for batch in _sampled_batches(
+            ids, k, strong, count, args.seed) for inst in batch])
+    insts = sampled(False, n)
     clock("solve_linkage",
           lambda: solve_linkage(LinkageProblem(g, next(insts)[2])), n)
     rng = random.Random(args.seed)
@@ -673,7 +687,7 @@ def _cmd_bench(args) -> int:
     if d >= 4:
         m = min(n, 500)
         # the instance shapes of the link_construct check
-        routes = iter(list(_sampled_instances(ids, k, even, m, args.seed)))
+        routes = sampled(even, m)
 
         def one_route():
             subset, forb, pr = next(routes)

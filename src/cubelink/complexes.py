@@ -190,9 +190,6 @@ class PolytopalComplex:
                 return FaceHandle(dim, idx)
         return None
 
-    def contains_face(self, vertices: Iterable[int]) -> bool:
-        return self.handle_of(vertices) is not None
-
     def faces_of_dim(self, j: int) -> Iterator[FaceHandle]:
         if 0 <= j <= self.dim:
             for i in range(len(self.faces[j])):

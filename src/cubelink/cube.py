@@ -38,21 +38,11 @@ class CubeFace(NamedTuple):
     fixed_values: int
 
     @property
-    def face_dim(self) -> int:
-        return self.d - self.fixed_mask.bit_count()
-
-    @property
     def free_mask(self) -> int:
         return ((1 << self.d) - 1) & ~self.fixed_mask
 
     def contains(self, v: int) -> bool:
         return v & self.fixed_mask == self.fixed_values
-
-    def contains_face(self, other: "CubeFace") -> bool:
-        if other.d != self.d:
-            raise ValueError("dimension mismatch")
-        return (other.fixed_mask & self.fixed_mask == self.fixed_mask
-                and other.fixed_values & self.fixed_mask == self.fixed_values)
 
     def vertices(self) -> Iterator[int]:
         """Vertices of the face in ascending order."""
@@ -72,14 +62,6 @@ class CubeFace(NamedTuple):
         if self.fixed_values & ~self.fixed_mask:
             raise ValueError("fixed_values set outside fixed_mask")
         return self
-
-
-def min_face(d: int, u: int, v: int) -> CubeFace:
-    """Smallest face containing both u and v (fix every agreeing coordinate)."""
-    _check_vertex(d, u)
-    _check_vertex(d, v)
-    mask = ((1 << d) - 1) & ~(u ^ v)
-    return CubeFace(d, mask, u & mask)
 
 
 class OppositeFacetPair(NamedTuple):
@@ -175,12 +157,6 @@ def cube_graph(d: int) -> Graph:
         for v in range(n)
     )
     return Graph(n, adj, (1 << n) - 1)
-
-
-def distance(u: int, v: int) -> int:
-    """Hamming distance, which is the graph distance in any cube containing
-    both vertices."""
-    return (u ^ v).bit_count()
 
 
 def faces_of_dim(d: int, k: int) -> Iterator[CubeFace]:

@@ -104,10 +104,6 @@ class Graph:
             for v in bits(self.adj[u] >> (u + 1)):
                 yield (u, u + 1 + v)
 
-    @property
-    def num_edges(self) -> int:
-        return sum(a.bit_count() for a in self.adj) // 2
-
     def restrict(self, keep: int) -> "Graph":
         """Induced subgraph on `keep` (a bitmask), same vertex ids."""
         keep &= self.active

@@ -4,9 +4,13 @@
 practical on small graphs.  This module builds linkages on whole complexes
 directly: terminals are walked into the star of the first source along a
 disjoint fan, matched up across a carefully chosen facet, and the leftover
-work is delegated to oracle searches on single ridges, where the search is
-both complete and fast.  Construction is deterministic; every tie is broken
-toward the smallest coordinate, vertex id, or pair index.
+work is delegated to oracle searches of two pairs inside one ridge or one
+facet (8 or 16 vertices at d = 5), where the search is both complete and
+fast.  Even dimensions are not built that way: `strong_link_even` walks a
+fan into the link of the avoided vertex and searches the whole link (62 of
+Q_6's 64 vertices), and where that fails, the whole graph without the
+avoided vertex (`even.rescue`).  Construction is deterministic; every tie
+is broken toward the smallest coordinate, vertex id, or pair index.
 
 The star router can fail for a reason that is not a bug: when some facet
 packs an antipodal terminal pair whose far end is completely fenced in by

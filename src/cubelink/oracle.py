@@ -28,17 +28,20 @@ undecided go through the three stages above.  It passes an instance iff
 the scalar greedy links it in one of its two pair orders, so no verdict,
 witness or count depends on it.  Larger graphs skip it.
 
-Linkedness campaigns are array-native.  Their instances come in
+Every campaign is array-native: the linkedness sweeps, and the star and
+routing campaigns of `cli` too.  Their instances come in
 `_InstanceBatch`es, one uint64 row of forbidden vertices and pair ends
 per instance, which the prefilter reads directly; an instance tuple is
-built only for a row the prefilter leaves to the scalar stages, or a
-witness.  The exhaustive sweep turns chunks of vertex subsets into rows
-by one gather at a table of instance shapes (the orbit sweep of
-`symmetry` does the same for its canonical instances).  The sampled one
-is array-native from the random words on: instance i of seed S is call
-number i of `random.Random(S).sample(ids, size)`, but the sampler reads
-the generator's words thousands at a time and decodes them in numpy into
-exactly the picks `sample` makes (see "sampled instances" below).
+built only for a row the prefilter leaves to the scalar stages, a
+witness, or a check with no prefilter (the routers').  The exhaustive
+sweep turns chunks of vertex subsets into rows by one gather at a table
+of instance shapes (the orbit sweep of `symmetry` does the same for its
+canonical instances, and a star sweep for the subsets that hold the
+centre).  The sampled one is array-native from the random words on:
+instance i of seed S is call number i of `random.Random(S).sample(ids,
+size)`, but the sampler reads the generator's words thousands at a time
+and decodes them in numpy into exactly the picks `sample` makes (see
+"sampled instances" below).
 """
 
 from __future__ import annotations
@@ -582,23 +585,33 @@ def _rebatch(parts: Iterable, lead: int,
 
 
 def _linked_batches(vertex_ids: Sequence[int], k: int, strong: bool,
-                    per_batch: int = CAMPAIGN_BATCH
+                    per_batch: int = CAMPAIGN_BATCH,
+                    pinned: Optional[int] = None
                     ) -> Iterator[_InstanceBatch]:
     """Every instance on 2k + strong of the ascending vertex_ids, as
     `_InstanceBatch`es of per_batch rows (the last may hold fewer):
     subsets in `itertools.combinations` order and each subset's instances
     in `_shape_tables` order, so the stream is in instance tuple order.
-    A chunk of subsets becomes rows in one gather."""
+    With `pinned`, only the subsets that hold that vertex, in
+    `combinations` order of their other vertices (a star campaign pins
+    the centre).  A chunk of subsets becomes rows in one gather."""
     import numpy as np
     size = 2 * k + (1 if strong else 0)
     shapes = _shape_tables(size, strong)
     per_chunk = max(1, per_batch // len(shapes))
-    combos = itertools.combinations(vertex_ids, size)
+    if pinned is None:
+        combos = itertools.combinations(vertex_ids, size)
+    else:
+        rest = [v for v in vertex_ids if v != pinned]
+        combos = ((pinned,) + c
+                  for c in itertools.combinations(rest, size - 1))
 
     def parts():
         while chunk := list(itertools.islice(combos, per_chunk)):
             subsets = np.array(chunk, dtype=np.uint64).reshape(len(chunk),
                                                                 size)
+            if pinned is not None:
+                subsets.sort(axis=1)        # the pinned vertex into place
             yield subsets[:, shapes].reshape(len(chunk) * len(shapes), size)
 
     return _rebatch(parts(), 1 if strong else 0, per_batch)
@@ -849,13 +862,6 @@ def _sampled_batches(vertex_ids: Sequence[int], k: int, strong: bool,
         yield _sampled_batch(ids[rows], 1 if strong else 0)
 
 
-def _sampled_instances(vertex_ids: Sequence[int], k: int, strong: bool,
-                       n: int, seed: int) -> Iterator[Instance]:
-    """The instances of `_sampled_batches`, one after another."""
-    return itertools.chain.from_iterable(
-        _sampled_batches(vertex_ids, k, strong, n, seed))
-
-
 # -- verification campaigns ---------------------------------------------------
 
 
@@ -994,22 +1000,15 @@ def _run_batch(check: Callable[[Any, dict], Any],
     return out
 
 
-def _batched(instances: Iterable) -> Iterator[list]:
-    """A stream of instances as lists of CAMPAIGN_BATCH, read lazily; for
-    campaigns whose check has no prefilter, such as the star router's."""
-    it = iter(instances)
-    return iter(lambda: list(itertools.islice(it, CAMPAIGN_BATCH)), [])
-
-
 def campaign(batches: Iterable[Sequence], check: Callable[[Any, dict], Any],
              jobs: int = 1, progress=None) -> CampaignRun:
     """Run `check(inst, tally)` over a stream of instances, given as a
-    stream of batches (`_InstanceBatch`es, or instance lists from
-    `_batched`).  The check returns None on a pass and a witness
-    otherwise, and may count outcomes in `tally`.  It may also offer
-    `passes(batch)`, a bool array marking instances it would pass without
-    tallying anything (or None); those are counted as checked and not
-    called.
+    stream of `_InstanceBatch`es (a check with no prefilter takes any
+    sequence of instances as a batch).  The check returns None on a pass
+    and a witness otherwise, and may count outcomes in `tally`.  It may
+    also offer `passes(batch)`, a bool array marking instances it would
+    pass without tallying anything (or None); those are counted as
+    checked and not called.
 
     Batches are read lazily.  With jobs > 1 they go to a process pool and
     come back in stream order, so the result is the same for every job
@@ -1071,11 +1070,6 @@ def k23_witness(g: Graph) -> Optional[tuple[int, int, tuple[int, ...]]]:
             if common.bit_count() >= 3:
                 return u, v, tuple(itertools.islice(bits(common), 3))
     return None
-
-
-def contains_k23(g: Graph) -> bool:
-    """True iff some two vertices share at least three neighbours."""
-    return k23_witness(g) is not None
 
 
 def short_distance_pairs(f_graph: Graph, x: Sequence[int],

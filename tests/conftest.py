@@ -164,6 +164,35 @@ def linked_instances(vertex_ids, k: int, strong: bool):
                 yield subset, (), pr
 
 
+def pinned_instances(vertex_ids, pinned, k: int):
+    """Every (subset, (), pairing) instance on 2k of vertex_ids that holds
+    `pinned`: its other 2k - 1 vertices in combinations order, then the
+    pairings of the subset.  The reference for the library's star
+    stream."""
+    from cubelink.oracle import pairings
+    rest = [v for v in vertex_ids if v != pinned]
+    for others in itertools.combinations(rest, 2 * k - 1):
+        subset = tuple(sorted((pinned,) + others))
+        for pr in pairings(subset):
+            yield subset, (), pr
+
+
+def sampled_instances(vertex_ids, k: int, strong: bool, n: int, seed: int):
+    """The instance tuples of the library's sampled stream, one after
+    another."""
+    from cubelink.oracle import _sampled_batches
+    return itertools.chain.from_iterable(
+        _sampled_batches(vertex_ids, k, strong, n, seed))
+
+
+def batched(instances):
+    """A stream of instances as lists of CAMPAIGN_BATCH, read lazily:
+    campaign batches for a check with no prefilter."""
+    from cubelink.oracle import CAMPAIGN_BATCH
+    it = iter(instances)
+    return iter(lambda: list(itertools.islice(it, CAMPAIGN_BATCH)), [])
+
+
 def instance_batch(insts):
     """Instance tuples, all with the same numbers of pairs and forbidden
     vertices, as one of the library's array batches."""
@@ -198,6 +227,32 @@ def project_face(face: CubeFace, pair: OppositeFacetPair,
     bit = 1 << pair.coord
     return CubeFace(face.d, face.fixed_mask | bit,
                     (face.fixed_values & ~bit) | (side * bit))
+
+
+def face_dim(face: CubeFace) -> int:
+    """The dimension of a cube face: its number of free coordinates."""
+    return face.d - face.fixed_mask.bit_count()
+
+
+def min_face(d: int, u: int, v: int) -> CubeFace:
+    """The smallest face of the d-cube holding u and v: every coordinate
+    they agree on is fixed."""
+    mask = ((1 << d) - 1) & ~(u ^ v)
+    return CubeFace(d, mask, u & mask)
+
+
+def distance(u: int, v: int) -> int:
+    """Hamming distance, the graph distance in any cube holding both."""
+    return (u ^ v).bit_count()
+
+
+def num_edges(g: Graph) -> int:
+    return sum(a.bit_count() for a in g.adj) // 2
+
+
+def contains_face(c, vertices) -> bool:
+    """Is `vertices` the vertex set of a face of the complex c?"""
+    return c.handle_of(vertices) is not None
 
 
 def neighbors(d: int, v: int):

@@ -332,10 +332,29 @@ def test_inspect_reports_f_vector(capsys):
 
 
 def test_inspect_star(capsys):
+    # the star's own counts, not those of the Q_5 it lies in
     code, rep = run_json(capsys, "inspect", "--kind", "star_of_vertex",
                          "--dim", "5")
     assert code == 0
     assert rep["star_center"] == 0
+    assert rep["f_vector"] == [31, 75, 70, 30, 5]
+    assert rep["num_vertices"] == 31 and rep["euler_characteristic"] == 1
+
+
+def test_star_spec_verifies_the_star(capsys):
+    # Q_5 is 3-linked, but the 31-vertex star of its vertex 0 is not
+    code, rep = run_json(capsys, "verify", "--kind", "star_of_vertex",
+                         "--dim", "5", "--check", "k_linked", "--k", "3")
+    v = rep["verdict"]
+    assert code == 1 and v["status"] == "counterexample"
+    assert v["checked"] == 1562488
+    assert v["witness"]["pairs"] == [[0, 15], [7, 11], [13, 14]]
+    # checks that walk a whole polytope refuse a star
+    for check in ("link_construct", "technical_lemma"):
+        code, out, err = run(capsys, "verify", "--kind", "star_of_vertex",
+                             "--dim", "5", "--check", check)
+        assert code == 2 and out == ""
+        assert f"{check} needs a polytope" in err
 
 
 def test_bench_runs(capsys):

@@ -15,17 +15,20 @@ import cubelink.symmetry
 from cubelink import linker, oracle
 
 from conftest import (
+    batched,
     brute_min_vertex_cut,
     count_pairings,
     instance_batch,
     linked_instances,
     naive_linked,
+    pinned_instances,
     queue_bfs,
     random_graph,
     random_problem,
+    sampled_instances,
 )
 from cubelink.cube import cube_graph
-from cubelink.generators import glued_cubes
+from cubelink.generators import cube_boundary, glued_cubes, star_instance
 from cubelink.graphs import bits, graph_from_edges, mask_of
 from cubelink.oracle import (
     CAMPAIGN_BATCH,
@@ -33,10 +36,7 @@ from cubelink.oracle import (
     LinkageProblem,
     SearchBudgetExceeded,
     Verdict,
-    _batched,
-    _sampled_instances,
     campaign,
-    contains_k23,
     enumerate_separators,
     k23_witness,
     menger_paths,
@@ -221,8 +221,8 @@ def test_instance_enumeration_counts():
     assert sum(map(len, oracle._linked_batches(q3, 2, False))) == 210
     q4 = sorted(bits(cube_graph(4).active))
     assert sum(map(len, oracle._linked_batches(q4, 2, True))) == 65520
-    got = list(_sampled_instances(q4, 2, True, 50, seed=3))
-    assert got == list(_sampled_instances(q4, 2, True, 50, seed=3))
+    got = list(sampled_instances(q4, 2, True, 50, seed=3))
+    assert got == list(sampled_instances(q4, 2, True, 50, seed=3))
     assert len(got) == 50
     for subset, forb, pr in got:
         assert len(subset) == 5 and len(forb) == 1
@@ -251,6 +251,24 @@ def test_labelled_stream_matches_reference():
                 want = linked_instances(ids, k, strong)
                 assert all(itertools.starmap(
                     operator.eq, itertools.zip_longest(got, want)))
+
+
+def test_pinned_stream_matches_reference():
+    # the star campaign's stream: the subsets that hold the centre, in
+    # combinations order of their other vertices, as the itertools
+    # reference gives them, on the Q_5 star of 0 and the bicube_5 star of 16
+    for c, centre in ((cube_boundary(5), 0), (glued_cubes(5, 2), 16)):
+        ids = sorted(star_instance(c, centre).complex.vertex_ids)
+        got = (b[i] for b in oracle._linked_batches(ids, 3, False,
+                                                    pinned=centre)
+               for i in range(len(b)))
+        want = pinned_instances(ids, centre, 3)
+        assert list(itertools.islice(got, 50000)) \
+            == list(itertools.islice(want, 50000))
+    ids = range(31)          # the Q_5 star of 0: all but the antipode 31
+    assert sum(map(len, oracle._linked_batches(
+        ids, 3, False, oracle.SWEEP_BATCH, pinned=0))) \
+        == math.comb(30, 5) * 15 == 2137590
 
 
 def test_rebatch_cuts_fixed_batches_from_any_parts():
@@ -290,8 +308,8 @@ def test_sampled_instances_stream_pinned():
     for name, k, strong, seed in _SAMPLED_CASES:
         g = (cube_graph(name[1]) if name[0] == "cube"
              else glued_cubes(*name[1:]).graph())
-        for inst in _sampled_instances(sorted(g.vertices()), k, strong,
-                                       20000, seed):
+        for inst in sampled_instances(sorted(g.vertices()), k, strong,
+                                      20000, seed):
             h.update(json.dumps(inst).encode())
             h.update(b"\n")
     assert h.hexdigest() == (
@@ -342,8 +360,8 @@ def test_sampled_batches_match_random_sample(case):
     want = list(_sample_instances_reference(ids, k, bool(strong), count,
                                             seed))
     assert [b[i] for b in got for i in range(len(b))] == want
-    assert list(oracle._sampled_instances(ids, k, bool(strong), count,
-                                          seed)) == want
+    assert list(sampled_instances(ids, k, bool(strong), count,
+                                  seed)) == want
 
 
 def test_sampled_batches_cover_both_methods():
@@ -529,7 +547,7 @@ def test_campaign_reads_stream_lazily_and_stops_at_first_witness():
         tally["pass"] = tally.get("pass", 0) + 1
         return None
 
-    run = campaign(_batched(stream()), check)
+    run = campaign(batched(stream()), check)
     assert run.witness == ("odd one", 499)
     assert run.checked == 500
     assert run.tally == {"pass": 499}
@@ -537,7 +555,7 @@ def test_campaign_reads_stream_lazily_and_stops_at_first_witness():
     # read up to the end of the witness's batch, and no further
     assert len(drawn) == -(-500 // CAMPAIGN_BATCH) * CAMPAIGN_BATCH
     with pytest.raises(ValueError):
-        campaign(_batched(()), check, jobs=0)
+        campaign(batched(()), check, jobs=0)
 
 
 def test_campaign_sums_router_branches_over_batches(monkeypatch):
@@ -548,7 +566,7 @@ def test_campaign_sums_router_branches_over_batches(monkeypatch):
         linker._mark("step")
         return None
 
-    run = campaign(_batched(range(2 * CAMPAIGN_BATCH + 50)), check)
+    run = campaign(batched(range(2 * CAMPAIGN_BATCH + 50)), check)
     assert run.checked == 2 * CAMPAIGN_BATCH + 50
     assert run.witness is None
     assert run.branches == {"step": 2 * CAMPAIGN_BATCH + 50}
@@ -582,11 +600,10 @@ def test_enumerate_separators_q3():
 
 
 def test_contains_k23():
-    assert not contains_k23(cube_graph(3))
+    assert k23_witness(cube_graph(3)) is None
     k23 = graph_from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
-    assert contains_k23(k23)
+    assert k23_witness(k23) == (0, 1, (2, 3, 4))
     near = graph_from_edges(5, [(0, 2), (0, 3), (1, 2), (1, 3), (1, 4)])
-    assert not contains_k23(near)
     assert k23_witness(near) is None
     # the first pair sharing three neighbours, with its three least ones
     k24 = graph_from_edges(6, [(u, v) for u in (2, 5) for v in (0, 1, 3, 4)])
@@ -837,11 +854,11 @@ def test_prefilter_keeps_stream_order():
         stream = [rng.choice(greedy + missed) for _ in range(at)]
         stream += [unlinked[at % len(unlinked)]]
         stream += [rng.choice(insts) for _ in range(CAMPAIGN_BATCH)]
-        run = campaign(map(instance_batch, _batched(stream)), check)
+        run = campaign(map(instance_batch, batched(stream)), check)
         assert (run.checked, run.witness) == _scalar_run(g, stream) \
             == (at + 1, unlinked[at % len(unlinked)])
     stream = [rng.choice(greedy + missed) for _ in range(2500)]
-    run = campaign(map(instance_batch, _batched(stream)), check, jobs=2)
+    run = campaign(map(instance_batch, batched(stream)), check, jobs=2)
     assert (run.checked, run.witness) == _scalar_run(g, stream) == (2500, None)
 
 
@@ -850,7 +867,7 @@ def test_large_graphs_skip_the_prefilter():
     assert g.n > 64
     ids = sorted(g.vertices())
     check = oracle._LinkedCheck(g.adj, g.active, 10 ** 7)
-    insts = list(_sampled_instances(ids, 3, False, 1500, seed=6))
+    insts = list(sampled_instances(ids, 3, False, 1500, seed=6))
     assert check.passes(instance_batch(insts)) is None
     v = verify_k_linked(g, 3, mode="sampled", samples=1500, seed=6)
     checked, witness = _scalar_run(g, insts)

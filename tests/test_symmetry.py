@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import cubelink.symmetry
-from cubelink.cube import cube_graph, distance
+from conftest import distance
+from cubelink.cube import cube_graph
 from cubelink.oracle import LinkageProblem, solve_linkage
 from cubelink.symmetry import (
     _stabilizers,
